@@ -13,7 +13,7 @@ duality) bridges the two.
 """
 
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, kernel_dim, matrix_rank
-from .polyring import GradedBasis, LinearFormRep, Monomial, monomial_basis, mult_matrix, power_coords
+from .polyring import LinearFormRep, monomial_basis, mult_matrix, power_coords
 from .oracle import (
     ExponentSpec,
     HilbertData,
@@ -63,9 +63,7 @@ __all__ = [
     "PrimeField",
     "kernel_dim",
     "matrix_rank",
-    "GradedBasis",
     "LinearFormRep",
-    "Monomial",
     "monomial_basis",
     "mult_matrix",
     "power_coords",

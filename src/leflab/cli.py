@@ -3,8 +3,8 @@
 All results go to standard output as compact JSON; `verify --format csv`
 switches the sweep rows to semicolon-separated CSV.  Exit codes: 0 on
 success, 1 when `verify` finds a disagreement that survives the second-prime
-retry, 2 on usage errors.  The environment variable LEFLAB_PRIME overrides
-the default modulus.
+retry, 2 on usage errors, 3 on any other (unexpected) error.  The environment
+variable LEFLAB_PRIME overrides the default modulus.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+import traceback
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .modp import DEFAULT_PRIME
@@ -53,6 +55,7 @@ def _add_common(sub: argparse.ArgumentParser, *, vars_default: int = 3) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leflab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -292,6 +295,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from .oracle import ExponentSpec, PrimeTooSmallError
+from .polyring import monomial_basis
 
 
 class StepNotApplicable(ValueError):
@@ -119,7 +120,7 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
     d = sys.degree
     p = field.modulus
     n_mono = binom(d + 2, 2)
-    exps = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+    exps = monomial_basis(3, d).tolist()
     rows = []
     seen = set()
     for mult in sys.mults:

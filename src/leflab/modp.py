@@ -16,7 +16,7 @@ import numpy as np
 DEFAULT_PRIME = 2147483647
 
 # Witnesses giving a deterministic Miller-Rabin test for all n < 3.3 * 10^24,
-# far beyond the 63-bit moduli this module supports.
+# far beyond the 31-bit moduli PrimeField accepts.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -99,11 +99,6 @@ class DenseMatrix:
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "DenseMatrix":
         return cls(field, np.eye(n, dtype=np.int64))
-
-    def hstack(self, other: "DenseMatrix") -> "DenseMatrix":
-        if other.field != self.field or other.rows != self.rows:
-            raise ValueError("incompatible matrices")
-        return DenseMatrix(self.field, np.hstack([self.entries, other.entries]))
 
     def vstack(self, other: "DenseMatrix") -> "DenseMatrix":
         if other.field != self.field or other.cols != self.cols:

@@ -8,22 +8,13 @@ Groebner machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .modp import DenseMatrix, PrimeField
-
-
-@dataclass(frozen=True)
-class Monomial:
-    exponents: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -41,44 +32,26 @@ class LinearFormRep:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    """All monomials of one degree, in graded-lexicographic order.
-
-    The order is fixed (first variable largest) so that coordinate vectors
-    and matrices are reproducible across runs.
-    """
-
-    num_vars: int
-    degree: int
-    monomials: tuple[Monomial, ...]
-    _index: dict = field(compare=False, repr=False, hash=False)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def index_of(self, exponents: tuple[int, ...]) -> int:
-        return self._index[exponents]
-
-
-def _exponent_tuples(num_vars: int, degree: int):
-    if num_vars == 1:
-        yield (degree,)
-        return
-    for e in range(degree, -1, -1):
-        for rest in _exponent_tuples(num_vars - 1, degree - e):
-            yield (e,) + rest
-
-
 @lru_cache(maxsize=None)
-def monomial_basis(num_vars: int, degree: int) -> GradedBasis:
-    """Basis of the degree-`degree` piece; size C(degree+num_vars-1, num_vars-1)."""
+def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
+    """Exponents of the degree-`degree` monomials, one read-only row each.
+
+    The order is graded-lexicographic with the first variable largest, fixed
+    so that coordinate vectors and matrices are reproducible across runs.
+    There are C(degree+num_vars-1, num_vars-1) rows.
+    """
     if num_vars < 1 or degree < 0:
         raise ValueError("need num_vars >= 1 and degree >= 0")
-    monos = tuple(Monomial(e) for e in _exponent_tuples(num_vars, degree))
-    index = {m.exponents: i for i, m in enumerate(monos)}
-    assert len(monos) == comb(degree + num_vars - 1, num_vars - 1)
-    return GradedBasis(num_vars, degree, monos, index)
+    if num_vars == 1:
+        exps = np.array([[degree]], dtype=np.int64)
+    else:
+        blocks = []
+        for e in range(degree, -1, -1):
+            rest = monomial_basis(num_vars - 1, degree - e)
+            blocks.append(np.column_stack((np.full(len(rest), e, dtype=np.int64), rest)))
+        exps = np.vstack(blocks)
+    exps.flags.writeable = False
+    return exps
 
 
 def graded_dim(num_vars: int, degree: int) -> int:
@@ -87,25 +60,22 @@ def graded_dim(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-def multiply_by_linear_form(
-    field_: PrimeField, vec: np.ndarray, degree: int, form: LinearFormRep
-) -> np.ndarray:
-    """Coordinates of (linear form) * (element of the degree-`degree` piece)."""
-    r = form.num_vars
-    src = monomial_basis(r, degree)
-    dst = monomial_basis(r, degree + 1)
-    out = np.zeros(len(dst), dtype=np.int64)
-    for i, mono in enumerate(src.monomials):
-        v = int(vec[i])
-        if v == 0:
-            continue
-        for var, c in enumerate(form.coeffs):
-            if c == 0:
-                continue
-            e = list(mono.exponents)
-            e[var] += 1
-            j = dst.index_of(tuple(e))
-            out[j] = (out[j] + v * c) % field_.modulus
+@lru_cache(maxsize=None)
+def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
+    """map[t, c]: target-basis row of (term t of degree f_degree) * (source monomial c).
+
+    Exponents are read as base-(target_degree+1) digits, first variable most
+    significant, so the target basis has strictly decreasing keys.
+    """
+    base = target_degree + 1
+    if base**num_vars > np.iinfo(np.int64).max:
+        raise ValueError(f"{num_vars} variables in degree {target_degree} overflow the monomial keys")
+    weights = base ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
+    neg_keys = -(monomial_basis(num_vars, target_degree) @ weights)
+    terms = monomial_basis(num_vars, f_degree) @ weights
+    sources = monomial_basis(num_vars, target_degree - f_degree) @ weights
+    out = np.searchsorted(neg_keys, -(terms[:, None] + sources[None, :]))
+    out.flags.writeable = False
     return out
 
 
@@ -117,9 +87,18 @@ def power_coords(field_: PrimeField, form: LinearFormRep, a: int) -> np.ndarray:
     """
     if a < 1:
         raise ValueError("power must be >= 1")
-    vec = np.array([c % field_.modulus for c in form.coeffs], dtype=np.int64)
+    p = field_.modulus
+    r = form.num_vars
+    coeffs = [c % p for c in form.coeffs]
+    vec = np.array(coeffs, dtype=np.int64)
     for d in range(1, a):
-        vec = multiply_by_linear_form(field_, vec, d, form)
+        step = _index_map(r, 1, d + 1)
+        out = np.zeros(graded_dim(r, d + 1), dtype=np.int64)
+        for var, c in enumerate(coeffs):
+            if c:
+                # Rows of step[var] are distinct and each sum stays below r*p.
+                out[step[var]] += vec * c % p
+        vec = out % p
     return vec
 
 
@@ -138,20 +117,10 @@ def mult_matrix(
     """
     if target_degree < f_degree:
         raise ValueError("target degree below the degree of f")
-    fb = monomial_basis(num_vars, f_degree)
-    src = monomial_basis(num_vars, target_degree - f_degree)
-    dst = monomial_basis(num_vars, target_degree)
-    p = field_.modulus
-    out = np.zeros((len(dst), len(src)), dtype=np.int64)
-    terms = [
-        (fb.monomials[t].exponents, int(f_coords[t]))
-        for t in range(len(fb))
-        if int(f_coords[t]) % p != 0
-    ]
-    for col, mono in enumerate(src.monomials):
-        me = mono.exponents
-        for te, c in terms:
-            key = tuple(a + b for a, b in zip(me, te))
-            row = dst.index_of(key)
-            out[row, col] = (out[row, col] + c) % p
+    index = _index_map(num_vars, f_degree, target_degree)
+    coeffs = np.asarray(f_coords, dtype=np.int64) % field_.modulus
+    nz = np.nonzero(coeffs)[0]
+    out = np.zeros((graded_dim(num_vars, target_degree), index.shape[1]), dtype=np.int64)
+    # Distinct terms of f send a monomial m to distinct products, so no cell is hit twice.
+    out[index[nz], np.arange(index.shape[1])] = coeffs[nz, None]
     return DenseMatrix(field_, out)

@@ -150,6 +150,33 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_unexpected_error_exits_three(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "hilbert", boom)
+    code, out, err = run_cli(capsys, "hilbert", "--powers", "3,3,3,3")
+    assert code == 3
+    assert out == ""
+    assert err.endswith("error: RuntimeError: boom\n")
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    # The second call leaves --vars and --seed at their defaults; a parser
+    # that kept state from the first call would not.
+    first = ("rank", "--vars", "4", "--powers", "3,3,3,3,3", "--k", "1", "--degree", "3", "--seed", "5")
+    second = ("hilbert", "--powers", "3,3,3,3")
+    fresh = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli.build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in (first, second)]
+    assert cli.build_parser() is cli.build_parser()
+    assert reused == fresh
+    assert fresh[1][1] == '{"hf":[1,3,6,6,3],"reg":4}\n'
+
+
 def test_classify_rejects_four_vars(capsys):
     code, _, err = run_cli(capsys, "classify", "--vars", "4", "--powers", "3,3,3,3", "--k", "3")
     assert code == 2
