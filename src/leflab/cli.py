@@ -247,10 +247,9 @@ def _cmd_verify(args) -> int:
         primes=(args.prime, args.second_prime),
         trials=args.trials,
         seed=args.seed,
-        fmt=args.format,
     )
     rows, summary = run_verification(config)
-    if config.fmt == "csv":
+    if args.format == "csv":
         lines = ["spec;k;theory_fail_degrees;oracle_fail_degrees;agree;millis"]
         for r in rows:
             lines.append(

@@ -31,15 +31,12 @@ class SweepConfig:
     primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME)
     trials: int = DEFAULT_TRIALS
     seed: int = 0
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
         if not self.primes:
             raise ValueError("need at least one prime")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
         if self.specs is None:
             if self.s_range[0] > self.s_range[1] or self.exp_range[0] > self.exp_range[1]:
                 raise ValueError("empty sweep range")

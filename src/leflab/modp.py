@@ -96,15 +96,6 @@ class DenseMatrix:
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "DenseMatrix":
         return cls(field, np.zeros((rows, cols), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "DenseMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    def vstack(self, other: "DenseMatrix") -> "DenseMatrix":
-        if other.field != self.field or other.cols != self.cols:
-            raise ValueError("incompatible matrices")
-        return DenseMatrix(self.field, np.vstack([self.entries, other.entries]))
-
 
 def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     # Plain Gaussian elimination, pivot = first nonzero under the current row.

@@ -4,6 +4,14 @@
 Ranks are semicontinuous: a random sample can only under-shoot the generic
 rank, never exceed it, so rank reports take the maximum over several trial
 forms and dimension reports are exact with overwhelming probability.
+
+Dimensions are computed inside a monomial complete intersection.  An exact
+change of coordinates over F_p (`ci_frame`) turns a maximal independent set
+of the forms, smallest exponents first, into variables, so their powers span
+a monomial ideal counted without elimination; only the remaining powers are
+row-reduced, on the monomials that survive in the quotient by it.  The
+standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
+stays in the full ring as an independent check.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank, reduce_rows, row_echelon
-from .polyring import LinearFormRep, graded_dim, mult_matrix, power_coords
+from .polyring import LinearFormRep, graded_dim, monomial_basis, mult_matrix, power_coords
 
 DEFAULT_TRIALS = 5
 
@@ -138,7 +146,8 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
             return IdealSample(spec, forms, field, seed)
 
 
-@lru_cache(maxsize=None)
+# Bounded: each trial form, and each form a trial displaces from a frame, is new.
+@lru_cache(maxsize=256)
 def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
     vec = power_coords(field, form, power)
     vec.flags.writeable = False
@@ -159,12 +168,77 @@ def _ideal_matrix(sample: IdealSample, j: int) -> np.ndarray:
     return np.hstack(blocks)
 
 
+@dataclass(frozen=True, eq=False)
+class CIFrame:
+    """Coordinates in which a sample is a quotient of a monomial complete intersection.
+
+    A form with coefficient vector v has new coordinates `change @ v` (mod p).
+    New variable m is a chosen form, whose power bounds it by `caps[m]`, or is
+    free (`caps[m]` is None).  `rest` holds each other form in new coordinates,
+    with its power.
+    """
+
+    change: np.ndarray
+    caps: tuple[int | None, ...]
+    rest: tuple[tuple[LinearFormRep, int], ...]
+
+
+# Bounded: every adjoined trial form makes a new sample, used for one degree.
+@lru_cache(maxsize=64)
+def ci_frame(sample: IdealSample) -> CIFrame:
+    """The frame from the reduced echelon form E = A [F^T | I_r] of the forms F.
+
+    Pivot m of E becomes variable m; a pivot column i < s picks form i (the
+    forms are sorted by exponent, so the smallest powers are picked first),
+    one in the identity block leaves variable m free.  A = E[:, s:] is the
+    change of coordinates and column i of E is form i in the new coordinates.
+    """
+    r, exps = sample.spec.num_vars, sample.spec.exponents
+    forms = np.array([f.coeffs for f in sample.forms], dtype=np.int64).T
+    ech, pivots = row_echelon(DenseMatrix(sample.field, np.hstack([forms, np.eye(r, dtype=np.int64)])))
+    chosen = set(pivots)
+    rest = tuple(
+        (LinearFormRep(tuple(int(x) for x in ech.entries[:, i])), a)
+        for i, a in enumerate(exps)
+        if i not in chosen
+    )
+    change = ech.entries[:, len(exps):]
+    return CIFrame(change, tuple(exps[c] if c < len(exps) else None for c in pivots), rest)
+
+
+@lru_cache(maxsize=None)
+def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
+    """Rows of the degree-j monomial basis that are not in (x_m^caps[m])."""
+    bound = np.array([j + 1 if c is None else c for c in caps], dtype=np.int64)
+    rows = np.flatnonzero((monomial_basis(num_vars, j) < bound).all(axis=1))
+    rows.flags.writeable = False
+    return rows
+
+
 @lru_cache(maxsize=None)
 def ideal_piece_dim(sample: IdealSample, j: int) -> int:
-    """dim of the degree-j piece of the ideal for this sample."""
+    """dim of the degree-j piece of the ideal for this sample.
+
+    In the frame's coordinates the ideal is J + (remaining powers) with J the
+    monomial ideal of the chosen powers.  J_j is spanned by the monomials off
+    `_ci_rows`; the remaining powers add the rank of their products with the
+    surviving monomials, reduced modulo J.
+    """
     if j < 0:
         return 0
-    return matrix_rank(DenseMatrix(sample.field, _ideal_matrix(sample, j)))
+    field = sample.field
+    r = sample.spec.num_vars
+    frame = ci_frame(sample)
+    rows = _ci_rows(r, frame.caps, j)
+    blocks = [
+        mult_matrix(field, r, _gen_coords(field, form, a), a, j).entries[
+            np.ix_(rows, _ci_rows(r, frame.caps, j - a))
+        ]
+        for form, a in frame.rest
+        if a <= j
+    ]
+    rank = matrix_rank(DenseMatrix(field, np.hstack(blocks))) if blocks else 0
+    return graded_dim(r, j) - rows.size + rank
 
 
 def quotient_dim(sample: IdealSample, j: int) -> int:
@@ -257,7 +331,8 @@ def standard_monomials(sample: IdealSample, j: int) -> tuple[DenseMatrix, tuple[
     degree-j piece of the quotient.
     """
     ech, pivots = row_echelon(DenseMatrix(sample.field, _ideal_matrix(sample, j).T))
-    std = tuple(c for c in range(ech.cols) if c not in set(pivots))
+    chosen = set(pivots)
+    std = tuple(c for c in range(ech.cols) if c not in chosen)
     return ech, pivots, std
 
 

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from leflab.modp import matrix_rank
+from leflab.modp import DenseMatrix, PrimeField, matrix_rank
 from leflab.oracle import (
     ExponentSpec,
+    IdealSample,
     NonArtinianError,
     PrimeTooSmallError,
+    _ideal_matrix,
+    ci_frame,
     hilbert_function,
     ideal_piece_dim,
     lefschetz_scan,
@@ -18,6 +23,7 @@ from leflab.oracle import (
     rank_with_form,
 )
 from leflab.linsys import binom, dual_system, system_dim
+from leflab.polyring import LinearFormRep
 from leflab.theory import injectivity_certificate, peak_degree
 
 
@@ -36,6 +42,16 @@ def ci_hilbert(exponents):
                 out[i + e] += c
         coeffs = out
     return coeffs
+
+
+def full_ring_ideal_dim(sample, j):
+    """Independent oracle: rank of every generator multiple in all of R_j."""
+    return matrix_rank(DenseMatrix(sample.field, _ideal_matrix(sample, j)))
+
+
+def new_coords(frame, form, p):
+    """Coordinates of `form` in the frame, in exact integer arithmetic."""
+    return [int(v) % p for v in frame.change.astype(object) @ np.array(form.coeffs, dtype=object)]
 
 
 def test_spec_normalizes_and_validates():
@@ -350,3 +366,52 @@ def test_large_uniform_cube_case():
     assert lefschetz_scan(sample, 3, trials=2) == [(20, 1)]
     verdict = classify_cube_uniform(10, 18)
     assert verdict.failing_degrees == (20,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ci_frame_dims_match_full_ring(data):
+    # Artinian or not, general or special forms, with up to two adjoined
+    # powers: the dimension inside the complete intersection plus the monomials
+    # it kills equals the rank over the whole graded piece.
+    r = data.draw(st.integers(2, 4), label="num_vars")
+    s = data.draw(st.integers(1, r + 2), label="s")
+    exps = data.draw(st.lists(st.integers(1, 4), min_size=s, max_size=s), label="exponents")
+    sample = sample_ideal(ExponentSpec(r, tuple(exps)), seed=data.draw(st.integers(0, 999), label="seed"))
+    # Small coefficients put adjoined forms in special position (equal,
+    # proportional or dependent on the others) often.
+    small_form = st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(any)
+    for _ in range(data.draw(st.integers(0, 2), label="adjoined")):
+        coeffs = data.draw(small_form, label="adjoined form")
+        sample = sample.adjoin_form(LinearFormRep(tuple(coeffs)), data.draw(st.integers(1, 4), label="power"))
+    for j in range(0, 9):
+        assert ideal_piece_dim(sample, j) == full_ring_ideal_dim(sample, j), (sample.spec, j)
+
+
+def test_ci_frame_skips_dependent_first_forms():
+    # x, y, x+y are dependent, so z becomes the third variable; mod (x^2, y^2)
+    # the square (x+y)^2 is 2xy, and the quotient is K[x,y]/(x,y)^2 (x) K[z]/(z^3).
+    field = PrimeField()
+    forms = tuple(LinearFormRep(c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)))
+    sample = IdealSample(ExponentSpec(3, (2, 2, 2, 3)), forms, field, seed=0)
+    frame = ci_frame(sample)
+    assert frame.caps == (2, 2, 3)
+    assert frame.rest == ((LinearFormRep((1, 1, 0)), 2),)
+    assert hilbert_function(sample).values == (1, 3, 3, 2)
+    for j in range(0, 7):
+        assert ideal_piece_dim(sample, j) == full_ring_ideal_dim(sample, j)
+
+
+@pytest.mark.parametrize("exponents", [(2, 3, 3, 5, 6), (2, 3)])
+def test_ci_frame_maps_chosen_forms_to_unit_vectors(exponents):
+    sample = sample_ideal(ExponentSpec(4, exponents), seed=7)
+    p = sample.field.modulus
+    frame = ci_frame(sample)
+    chosen = min(4, len(exponents))
+    # General forms: the first ones are chosen, smallest exponents first.
+    assert frame.caps == exponents[:chosen] + (None,) * (4 - chosen)
+    for m, form in enumerate(sample.forms[:chosen]):
+        assert new_coords(frame, form, p) == [int(i == m) for i in range(4)]
+    assert [(new_coords(frame, f, p), a) for f, a in zip(sample.forms[chosen:], exponents[chosen:])] == [
+        (list(form.coeffs), a) for form, a in frame.rest
+    ]
