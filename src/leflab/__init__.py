@@ -12,7 +12,7 @@ Cremona reductions, the double-point classification and the fat-point
 duality) bridges the two.
 """
 
-from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, kernel_dim, matrix_rank
+from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from .polyring import LinearFormRep, monomial_basis, mult_matrix, power_coords
 from .oracle import (
     ExponentSpec,
@@ -52,6 +52,7 @@ from .theory import (
     injectivity_certificate,
     peak_degree,
     peak_degree_uniform,
+    verdict_for,
 )
 from .harness import SweepConfig, VerificationRow, run_verification
 
@@ -61,7 +62,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "DenseMatrix",
     "PrimeField",
-    "kernel_dim",
     "matrix_rank",
     "LinearFormRep",
     "monomial_basis",
@@ -100,6 +100,7 @@ __all__ = [
     "injectivity_certificate",
     "peak_degree",
     "peak_degree_uniform",
+    "verdict_for",
     "SweepConfig",
     "VerificationRow",
     "run_verification",

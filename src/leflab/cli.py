@@ -4,7 +4,9 @@ All results go to standard output as compact JSON; `verify --format csv`
 switches the sweep rows to semicolon-separated CSV.  Exit codes: 0 on
 success, 1 when `verify` finds a disagreement that survives the second-prime
 retry, 2 on usage errors, 3 on any other (unexpected) error.  The environment
-variable LEFLAB_PRIME overrides the default modulus.
+variable LEFLAB_PRIME overrides the default modulus of the commands that take
+--prime.  `classify`, `slp --vars 4` and `verify` take their closed-form
+verdicts from `theory.verdict_for`.
 """
 
 from __future__ import annotations
@@ -44,15 +46,27 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _default_prime() -> int:
     env = os.environ.get("LEFLAB_PRIME")
-    return int(env) if env else DEFAULT_PRIME
+    if not env:
+        return DEFAULT_PRIME
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"LEFLAB_PRIME must be an integer: {env!r}") from None
 
 
-def _add_common(sub: argparse.ArgumentParser, *, vars_default: int = 3) -> None:
-    sub.add_argument("--vars", type=int, default=vars_default, help="number of variables")
-    sub.add_argument("--prime", type=int, default=None, help="field modulus (default LEFLAB_PRIME or 2147483647)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+_COMMON_FLAGS = {
+    "vars": dict(type=int, default=3, help="number of variables"),
+    "prime": dict(type=int, default=None, help="field modulus (default LEFLAB_PRIME or 2147483647)"),
+    "seed": dict(type=int, default=0),
+    "trials": dict(type=int, default=DEFAULT_TRIALS),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Give `sub` the shared flags that its command reads, and no others."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_COMMON_FLAGS[name])
 
 
 @lru_cache(maxsize=None)
@@ -62,32 +76,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("hilbert", help="Hilbert function and regularity of the quotient")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
-    _add_common(sub)
+    _add_common(sub, "vars", "prime", "seed")
 
     sub = subs.add_parser("rank", help="rank report for one power map in one degree")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--degree", type=int, required=True)
-    _add_common(sub)
+    _add_common(sub, "vars", "prime", "seed", "trials")
 
     sub = subs.add_parser("scan", help="all degrees where a power map misses maximal rank")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
     sub.add_argument("--k", type=int, required=True)
-    _add_common(sub)
+    _add_common(sub, "vars", "prime", "seed", "trials")
 
     sub = subs.add_parser("classify", help="closed-form verdict for k in {1,2,3}, three variables")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
     sub.add_argument("--k", type=int, choices=(1, 2, 3), required=True)
-    _add_common(sub)
+    _add_common(sub, "vars")
 
     sub = subs.add_parser("slp", help="SLP/WLP corollaries for quadric or cubic generators")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
-    _add_common(sub)
+    _add_common(sub, "vars")
 
     sub = subs.add_parser("linsys", help="dimension of a plane system with its reduction trace")
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--mults", type=_parse_int_list, default=())
-    _add_common(sub)
+    _add_common(sub, "prime", "seed", "trials")
 
     sub = subs.add_parser("verify", help="theory-vs-oracle sweep")
     sub.add_argument("--k", type=int, default=3)
@@ -97,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a-min", type=int, default=2)
     sub.add_argument("--a-max", type=int, default=6)
     sub.add_argument("--second-prime", type=int, default=SECOND_PRIME)
-    _add_common(sub)
+    _add_common(sub, *_COMMON_FLAGS)
     return parser
 
 
@@ -141,11 +155,7 @@ def _cmd_scan(args) -> int:
 def _cmd_classify(args) -> int:
     if args.vars != 3:
         raise ValueError("classify covers three variables; see `slp` for four")
-    spec = ExponentSpec(3, args.powers)
-    if args.k == 3:
-        verdict = theory.classify_cube(spec)
-    else:
-        verdict = theory.classify_square(spec)
+    verdict = theory.verdict_for(ExponentSpec(3, args.powers), args.k)
     print(_dumps({"status": verdict.status, "degrees": list(verdict.failing_degrees)}))
     return 0
 
@@ -178,23 +188,13 @@ def _cmd_slp(args) -> int:
         else:
             raise ValueError("three-variable SLP results need a generator of degree 2 or 3")
     elif args.vars == 4:
-        if min(powers) <= 2:
-            verdict = theory.wlp_with_square_generator_4vars(ExponentSpec(4, powers))
-            out = {"property": "WLP", "status": verdict.status, "degrees": [], "rule": "square-generator"}
-        elif 3 in powers:
-            rest = list(powers)
-            rest.remove(3)
-            if not rest or len(set(rest)) != 1:
-                raise ValueError("four-variable cube result needs equal remaining powers")
-            verdict = theory.wlp_cube_uniform_4vars(len(rest), rest[0])
-            out = {
-                "property": "WLP",
-                "status": verdict.status,
-                "degrees": list(verdict.failing_degrees),
-                "rule": "cube-uniform",
-            }
-        else:
-            raise ValueError("four-variable results need a generator of degree at most 3")
+        verdict = theory.verdict_for(ExponentSpec(4, powers), 1)
+        out = {
+            "property": "WLP",
+            "status": verdict.status,
+            "degrees": list(verdict.failing_degrees),
+            "rule": "square-generator" if min(powers) <= 2 else "cube-uniform",
+        }
     else:
         raise ValueError("slp covers 3 or 4 variables")
     print(_dumps(out))
@@ -287,9 +287,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if getattr(args, "prime", None) is None:
-        args.prime = _default_prime()
     try:
+        if "prime" in vars(args) and args.prime is None:
+            args.prime = _default_prime()
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

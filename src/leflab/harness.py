@@ -66,28 +66,6 @@ def enumerate_specs(config: SweepConfig) -> list[ExponentSpec]:
     return out
 
 
-def theory_failures(spec: ExponentSpec, k: int) -> tuple[tuple[int, int], ...]:
-    """Predicted (degree, deficiency) failures for multiplication by a k-th power."""
-    if spec.num_vars == 3:
-        if k == 1 or k == 2:
-            return ()
-        if k == 3:
-            verdict = theory.classify_cube(spec)
-            return tuple((f.degree, f.deficiency) for f in verdict.failures)
-        raise ValueError("no closed-form classification for k >= 4")
-    if spec.num_vars == 4 and k == 1:
-        if min(spec.exponents) <= 2:
-            return ()
-        if 3 in spec.exponents:
-            rest = list(spec.exponents)
-            rest.remove(3)
-            if rest and len(set(rest)) == 1 and len(rest) >= 4:
-                verdict = theory.wlp_cube_uniform_4vars(len(rest), rest[0])
-                return tuple((f.degree, f.deficiency) for f in verdict.failures)
-        raise ValueError(f"no closed-form verdict for {spec.exponents} in four variables")
-    raise ValueError(f"no closed-form verdict for k={k} in {spec.num_vars} variables")
-
-
 def _oracle_failures(
     spec: ExponentSpec, k: int, prime: int, seed: int, trials: int
 ) -> tuple[tuple[int, int], ...]:
@@ -100,7 +78,8 @@ def run_verification(config: SweepConfig) -> tuple[list[VerificationRow], dict]:
     rows = []
     for spec in enumerate_specs(config):
         start = time.perf_counter()
-        predicted = theory_failures(spec, config.k)
+        verdict = theory.verdict_for(spec, config.k)
+        predicted = tuple((f.degree, f.deficiency) for f in verdict.failures)
         observed = _oracle_failures(spec, config.k, config.primes[0], config.seed, config.trials)
         retried = False
         if observed != predicted and len(config.primes) > 1:

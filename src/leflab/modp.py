@@ -131,10 +131,6 @@ def matrix_rank(m: DenseMatrix) -> int:
     return len(pivots)
 
 
-def kernel_dim(m: DenseMatrix) -> int:
-    return m.cols - matrix_rank(m)
-
-
 def row_echelon(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
     """Row echelon form with unit pivots, plus the pivot column positions.
 

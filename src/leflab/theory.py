@@ -3,7 +3,9 @@
 Everything here is integer arithmetic on the exponent multiset: the peak
 degree of the Hilbert function, the counting vector of exponents, and the
 complete square/cube classifications together with their SLP/WLP corollaries
-in three and four variables.
+in three and four variables.  `verdict_for(spec, k)` is the single entry that
+picks the closed form answering a given spec and power; the CLI and the
+verification harness go through it.
 """
 
 from __future__ import annotations
@@ -297,6 +299,27 @@ def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
         return Verdict(MAXIMAL, witness={})
     j = s * t // (s - 1)
     return Verdict(FAILS, (DegreeFailure(j, None, 1),), {})
+
+
+def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
+    """Closed-form verdict for multiplication by a general k-th power.
+
+    Three variables with k <= 3 use the square and cube classifications.  Four
+    variables with k = 1 use the WLP for a generator of degree at most two, or
+    for a cube plus at least four equal powers.  Every other case has no
+    closed form here and raises ValueError.
+    """
+    exps = spec.exponents
+    if spec.num_vars == 3 and k in (1, 2):
+        return classify_square(spec)
+    if spec.num_vars == 3 and k == 3:
+        return classify_cube(spec)
+    if spec.num_vars == 4 and k == 1:
+        if exps[0] <= 2:
+            return wlp_with_square_generator_4vars(spec)
+        if exps[0] == 3 and len(exps) >= 5 and len(set(exps[1:])) == 1:
+            return wlp_cube_uniform_4vars(len(exps) - 1, exps[1])
+    raise ValueError(f"no closed-form verdict for k={k}, exponents {exps} in {spec.num_vars} variables")
 
 
 @dataclass(frozen=True)

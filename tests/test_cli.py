@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from leflab import cli, harness
-from leflab.harness import SweepConfig, run_verification, theory_failures
+from itertools import combinations_with_replacement
+
+from leflab import cli, harness, theory
+from leflab.harness import SweepConfig, run_verification
 from leflab.oracle import ExponentSpec
 
 
@@ -150,6 +152,50 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_malformed_env_prime_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("LEFLAB_PRIME", "abc")
+    code, out, err = run_cli(capsys, "hilbert", "--powers", "3,3,3,3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: LEFLAB_PRIME")
+    # Commands without --prime never read the variable.
+    code, out, _ = run_cli(capsys, "classify", "--powers", "3,3,3,3", "--k", "3")
+    assert code == 0 and out == '{"status":"fails","degrees":[4]}\n'
+
+
+_REQUIRED_ARGS = {
+    "hilbert": ("--powers", "3,3,3,3"),
+    "rank": ("--powers", "3,3,3,3", "--k", "3", "--degree", "4"),
+    "scan": ("--powers", "3,3,3,3", "--k", "3"),
+    "classify": ("--powers", "3,3,3,3", "--k", "3"),
+    "slp": ("--powers", "3,3,3,3,3"),
+    "linsys": ("--degree", "4"),
+    "verify": (),
+}
+_KEPT_FLAGS = {
+    "hilbert": ("--vars", "--prime", "--seed"),
+    "rank": ("--vars", "--prime", "--seed", "--trials"),
+    "scan": ("--vars", "--prime", "--seed", "--trials"),
+    "classify": ("--vars",),
+    "slp": ("--vars",),
+    "linsys": ("--prime", "--seed", "--trials"),
+    "verify": ("--vars", "--prime", "--seed", "--trials", "--format"),
+}
+
+
+def test_commands_take_only_the_flags_they_read(capsys):
+    assert run_cli(capsys, "classify", "--powers", "3,3,3,3", "--k", "3", "--seed", "1")[0] == 2
+    assert run_cli(capsys, "hilbert", "--powers", "3,3,3,3", "--format", "csv")[0] == 2
+    parser = cli.build_parser()
+    for command, kept in _KEPT_FLAGS.items():
+        for flag in ("--vars", "--prime", "--seed", "--trials", "--format"):
+            argv = [command, *_REQUIRED_ARGS[command], flag, "json" if flag == "--format" else "3"]
+            if flag in kept:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+
+
 def test_unexpected_error_exits_three(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")
@@ -182,16 +228,46 @@ def test_classify_rejects_four_vars(capsys):
     assert code == 2
 
 
-def test_theory_failures_dispatch():
-    assert theory_failures(ExponentSpec(3, (3, 3, 3, 3)), 3) == ((4, 1),)
-    assert theory_failures(ExponentSpec(3, (2, 3, 4)), 1) == ()
-    assert theory_failures(ExponentSpec(3, (2, 3, 4)), 2) == ()
-    assert theory_failures(ExponentSpec(4, (2, 6, 6, 6, 6)), 1) == ()
-    assert theory_failures(ExponentSpec(4, (3, 3, 3, 3, 3)), 1) == ((4, 1),)
-    with pytest.raises(ValueError):
-        theory_failures(ExponentSpec(3, (3, 3, 3, 3)), 4)
-    with pytest.raises(ValueError):
-        theory_failures(ExponentSpec(4, (4, 4, 4, 4)), 1)
+def _verify_theory_fail(capsys, num_vars, k, specs):
+    argv = ["verify", "--vars", str(num_vars), "--k", str(k), "--trials", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--specs", ";".join(",".join(map(str, e)) for e in specs))
+    assert code == 0
+    return {tuple(row["spec"]): row["theory_fail"] for row in json.loads(out)["rows"]}
+
+
+def test_cli_answers_match_verdict_for(capsys):
+    three = [e for s in range(3, 6) for e in combinations_with_replacement(range(2, 6), s)]
+    for k in (1, 2, 3):
+        rows = _verify_theory_fail(capsys, 3, k, three)
+        for exps in three:
+            verdict = theory.verdict_for(ExponentSpec(3, exps), k)
+            code, out, _ = run_cli(capsys, "classify", "--powers", ",".join(map(str, exps)), "--k", str(k))
+            assert code == 0
+            assert json.loads(out) == {"status": verdict.status, "degrees": list(verdict.failing_degrees)}
+            assert rows[exps] == [[f.degree, f.deficiency] for f in verdict.failures]
+
+    four = [(2,) + (t,) * 4 for t in range(2, 6)]
+    four += [(3,) + (t,) * s for s in range(4, 7) for t in range(3, 6)]
+    rows = _verify_theory_fail(capsys, 4, 1, four)
+    for exps in four:
+        verdict = theory.verdict_for(ExponentSpec(4, exps), 1)
+        code, out, _ = run_cli(capsys, "slp", "--vars", "4", "--powers", ",".join(map(str, exps)))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["status"], doc["degrees"]) == (verdict.status, list(verdict.failing_degrees))
+        assert doc["rule"] == ("square-generator" if exps[0] == 2 else "cube-uniform")
+        assert rows[exps] == [[f.degree, f.deficiency] for f in verdict.failures]
+
+
+def test_uncovered_cases_exit_two(capsys):
+    for argv in (
+        ("verify", "--k", "4"),
+        ("slp", "--vars", "4", "--powers", "4,4,4,4"),
+        ("verify", "--vars", "4", "--k", "1", "--specs", "3,3,3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: no closed-form verdict"), argv
 
 
 def test_run_verification_rows_sorted_and_complete():

@@ -21,6 +21,7 @@ from leflab.theory import (
     slp_after_cube_quotient,
     slp_after_cube_quotient_uniform,
     slp_with_square_generator,
+    verdict_for,
     wlp_cube_uniform_4vars,
     wlp_with_square_generator_4vars,
 )
@@ -251,3 +252,23 @@ def test_verdict_validation():
         Verdict(FAILS)
     with pytest.raises(ValueError):
         Verdict(MAXIMAL, (DegreeFailure(4, 1, 1),))
+
+
+def _failures(spec, k):
+    return tuple((f.degree, f.deficiency) for f in verdict_for(spec, k).failures)
+
+
+def test_verdict_for_dispatch():
+    assert _failures(ExponentSpec(3, (3, 3, 3, 3)), 3) == ((4, 1),)
+    assert _failures(ExponentSpec(3, (2, 3, 4)), 1) == ()
+    assert _failures(ExponentSpec(3, (2, 3, 4)), 2) == ()
+    assert _failures(ExponentSpec(4, (2, 6, 6, 6, 6)), 1) == ()
+    assert _failures(ExponentSpec(4, (3, 3, 3, 3, 3)), 1) == ((4, 1),)
+    with pytest.raises(ValueError):
+        verdict_for(ExponentSpec(3, (3, 3, 3, 3)), 4)
+    with pytest.raises(ValueError):
+        verdict_for(ExponentSpec(4, (4, 4, 4, 4)), 1)
+    # The four-variable cube result needs a cube and equal remaining powers.
+    for exps in ((4, 4, 4, 4, 4), (3, 4, 4, 4, 5), (3, 4, 4, 4)):
+        with pytest.raises(ValueError):
+            verdict_for(ExponentSpec(4, exps), 1)
