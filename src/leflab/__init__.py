@@ -52,6 +52,7 @@ from .theory import (
     injectivity_certificate,
     peak_degree,
     peak_degree_uniform,
+    slp_verdict,
     verdict_for,
 )
 from .harness import SweepConfig, VerificationRow, run_verification
@@ -100,6 +101,7 @@ __all__ = [
     "injectivity_certificate",
     "peak_degree",
     "peak_degree_uniform",
+    "slp_verdict",
     "verdict_for",
     "SweepConfig",
     "VerificationRow",

@@ -5,8 +5,8 @@ switches the sweep rows to semicolon-separated CSV.  Exit codes: 0 on
 success, 1 when `verify` finds a disagreement that survives the second-prime
 retry, 2 on usage errors, 3 on any other (unexpected) error.  The environment
 variable LEFLAB_PRIME overrides the default modulus of the commands that take
---prime.  `classify`, `slp --vars 4` and `verify` take their closed-form
-verdicts from `theory.verdict_for`.
+--prime.  The CLI decides no closed form itself: `classify` and `verify`
+print `theory.verdict_for`, and `slp` prints `theory.slp_verdict`.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, choices=(1, 2, 3), required=True)
     _add_common(sub, "vars")
 
-    sub = subs.add_parser("slp", help="SLP/WLP corollaries for quadric or cubic generators")
+    sub = subs.add_parser("slp", help="closed-form SLP (3 variables) or WLP (4 variables) verdict")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
     _add_common(sub, "vars")
 
@@ -161,42 +161,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_slp(args) -> int:
-    powers = args.powers
-    if args.vars == 3:
-        spec = ExponentSpec(3, powers)
-        if 2 in powers or 1 in powers:
-            verdict = (
-                theory.slp_with_square_generator(spec)
-                if 2 in powers
-                else theory.Verdict(theory.MAXIMAL)
-            )
-            out = {"property": "SLP", "status": verdict.status, "degrees": [], "rule": "square-generator"}
-        elif 3 in powers:
-            rest = list(powers)
-            rest.remove(3)
-            report = theory.slp_after_cube_quotient(ExponentSpec(3, tuple(rest)))
-            degrees = sorted(
-                {f.degree for _, v in report.checks for f in v.failures}
-            )
-            out = {
-                "property": "SLP",
-                "status": theory.MAXIMAL if report.has_slp else theory.FAILS,
-                "degrees": degrees,
-                "rule": "cube-quotient",
-                "checks": [[b, v.status] for b, v in report.checks],
-            }
-        else:
-            raise ValueError("three-variable SLP results need a generator of degree 2 or 3")
-    elif args.vars == 4:
-        verdict = theory.verdict_for(ExponentSpec(4, powers), 1)
-        out = {
-            "property": "WLP",
-            "status": verdict.status,
-            "degrees": list(verdict.failing_degrees),
-            "rule": "square-generator" if min(powers) <= 2 else "cube-uniform",
-        }
-    else:
-        raise ValueError("slp covers 3 or 4 variables")
+    answer = theory.slp_verdict(ExponentSpec(args.vars, args.powers))
+    out = {
+        "property": answer.property,
+        "status": answer.verdict.status,
+        "degrees": list(answer.verdict.failing_degrees),
+        "rule": answer.rule,
+    }
+    if answer.checks is not None:
+        out["checks"] = [[b, v.status] for b, v in answer.checks]
     print(_dumps(out))
     return 0
 
@@ -250,21 +223,11 @@ def _cmd_verify(args) -> int:
     )
     rows, summary = run_verification(config)
     if args.format == "csv":
-        lines = ["spec;k;theory_fail_degrees;oracle_fail_degrees;agree;millis"]
+        print("spec;k;theory_fail_degrees;oracle_fail_degrees;agree;millis")
         for r in rows:
-            lines.append(
-                ";".join(
-                    [
-                        ",".join(str(a) for a in r.exponents),
-                        str(r.k),
-                        ",".join(str(j) for j, _ in r.theory_failures),
-                        ",".join(str(j) for j, _ in r.oracle_failures),
-                        "true" if r.agree else "false",
-                        str(r.millis),
-                    ]
-                )
-            )
-        print("\n".join(lines))
+            fails = [",".join(str(j) for j, _ in f) for f in (r.theory_failures, r.oracle_failures)]
+            spec = ",".join(str(a) for a in r.exponents)
+            print(";".join([spec, str(r.k), *fails, "true" if r.agree else "false", str(r.millis)]))
     else:
         print(_dumps({"rows": [_row_json(r) for r in rows], "summary": summary}))
     return 1 if summary["disagreements"] else 0

@@ -55,15 +55,6 @@ class PrimeField:
         if self.modulus.bit_length() > 31:
             raise ValueError("modulus must fit in 31 bits for int64 arithmetic")
 
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
-
-    def inv(self, x: int) -> int:
-        x %= self.modulus
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(x, self.modulus - 2, self.modulus)
-
     def random_vector(self, rng: np.random.Generator, length: int) -> tuple[int, ...]:
         return tuple(int(v) for v in rng.integers(0, self.modulus, size=length))
 

@@ -3,9 +3,9 @@
 Everything here is integer arithmetic on the exponent multiset: the peak
 degree of the Hilbert function, the counting vector of exponents, and the
 complete square/cube classifications together with their SLP/WLP corollaries
-in three and four variables.  `verdict_for(spec, k)` is the single entry that
-picks the closed form answering a given spec and power; the CLI and the
-verification harness go through it.
+in three and four variables.  `verdict_for(spec, k)` (a k-th power map) and
+`slp_verdict(spec)` (the SLP or WLP) pick the closed form that answers a spec,
+or raise ValueError; the CLI and the verification harness go through them.
 """
 
 from __future__ import annotations
@@ -209,12 +209,9 @@ def classify_cube_uniform(s: int, t: int) -> Verdict:
 
 def slp_with_square_generator(spec: ExponentSpec) -> Verdict:
     """A three-variable quotient whose ideal contains a general square has the SLP."""
-    if spec.num_vars != 3:
-        raise ValueError("this result is for three variables")
+    _reject_non_artinian_3vars(spec)
     if 2 not in spec.exponents:
         raise ValueError("needs a square generator (some exponent equal to 2)")
-    if spec.s < 3:
-        raise NonArtinianError("need at least three forms in three variables")
     return Verdict(MAXIMAL, witness={"peak": peak_degree(spec)})
 
 
@@ -301,6 +298,16 @@ def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
     return Verdict(FAILS, (DegreeFailure(j, None, 1),), {})
 
 
+def _wlp_rule_4vars(spec: ExponentSpec) -> Optional[tuple[str, Verdict]]:
+    """The four-variable WLP rule covering `spec` and its verdict, or None."""
+    exps = spec.exponents
+    if exps[0] <= 2:
+        return "square-generator", wlp_with_square_generator_4vars(spec)
+    if exps[0] == 3 and len(exps) >= 5 and len(set(exps[1:])) == 1:
+        return "cube-uniform", wlp_cube_uniform_4vars(len(exps) - 1, exps[1])
+    return None
+
+
 def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
     """Closed-form verdict for multiplication by a general k-th power.
 
@@ -309,17 +316,53 @@ def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
     for a cube plus at least four equal powers.  Every other case has no
     closed form here and raises ValueError.
     """
-    exps = spec.exponents
     if spec.num_vars == 3 and k in (1, 2):
         return classify_square(spec)
     if spec.num_vars == 3 and k == 3:
         return classify_cube(spec)
     if spec.num_vars == 4 and k == 1:
-        if exps[0] <= 2:
-            return wlp_with_square_generator_4vars(spec)
-        if exps[0] == 3 and len(exps) >= 5 and len(set(exps[1:])) == 1:
-            return wlp_cube_uniform_4vars(len(exps) - 1, exps[1])
-    raise ValueError(f"no closed-form verdict for k={k}, exponents {exps} in {spec.num_vars} variables")
+        ruled = _wlp_rule_4vars(spec)
+        if ruled is not None:
+            return ruled[1]
+    raise ValueError(f"no closed-form verdict for k={k}, exponents {spec.exponents} in {spec.num_vars} variables")
+
+
+@dataclass(frozen=True)
+class LefschetzVerdict:
+    """SLP (3 variables) or WLP (4) verdict; `checks` only for the cube-quotient rule."""
+
+    property: str
+    rule: str
+    verdict: Verdict
+    checks: Optional[tuple[tuple[int, Verdict], ...]] = None
+
+
+def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
+    """Closed-form SLP verdict in three variables, WLP verdict in four.
+
+    Three variables, first match: a square generator, a linear one (leaving a
+    two-variable quotient), or a cube plus at least three more powers (the
+    cube-quotient checks of the rest).  Four variables: the rules of
+    `verdict_for`.  Anything else raises ValueError.
+    """
+    exps = spec.exponents
+    if spec.num_vars == 3:
+        _reject_non_artinian_3vars(spec)
+        if 2 in exps:
+            return LefschetzVerdict("SLP", "square-generator", slp_with_square_generator(spec))
+        if exps[0] == 1:
+            return LefschetzVerdict("SLP", "linear-generator", Verdict(MAXIMAL))
+        if exps[0] == 3 and spec.s > 3:
+            report = slp_after_cube_quotient(ExponentSpec(3, exps[1:]))
+            by_degree = {f.degree: f for _, v in report.checks for f in v.failures}
+            failures = tuple(by_degree[j] for j in sorted(by_degree))
+            verdict = Verdict(MAXIMAL if report.has_slp else FAILS, failures)
+            return LefschetzVerdict("SLP", "cube-quotient", verdict, report.checks)
+    elif spec.num_vars == 4:
+        ruled = _wlp_rule_4vars(spec)
+        if ruled is not None:
+            return LefschetzVerdict("WLP", *ruled)
+    raise ValueError(f"no closed-form verdict for the SLP/WLP, exponents {exps} in {spec.num_vars} variables")
 
 
 @dataclass(frozen=True)

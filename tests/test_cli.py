@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 from leflab import cli, harness, theory
 from leflab.harness import SweepConfig, run_verification
-from leflab.oracle import ExponentSpec
+from leflab.oracle import ExponentSpec, lefschetz_scan, regularity, sample_ideal
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,12 @@ def test_slp_three_vars(capsys):
     doc = json.loads(out)
     assert doc["status"] == "fails" and doc["degrees"] == [6]
     assert [5, "fails"] in doc["checks"]
+
+    # A linear generator leaves a two-variable quotient, which has the SLP.
+    for powers in ("1,4,4", "1,3,5,5"):
+        code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", powers)
+        assert code == 0
+        assert out == '{"property":"SLP","status":"maximal-everywhere","degrees":[],"rule":"linear-generator"}\n'
 
 
 def test_slp_four_vars(capsys):
@@ -150,6 +156,11 @@ def test_usage_errors_exit_two(capsys):
     assert cli.main([]) == 2
     code, _, err = run_cli(capsys, "rank", "--powers", "3,3,3,3", "--k", "3", "--degree", "2")
     assert code == 2 and "error" in err
+    # Too few forms for an artinian quotient, a linear generator included.
+    for powers in ("1,5", "1,1", "2,5"):
+        code, out, err = run_cli(capsys, "slp", "--vars", "3", "--powers", powers)
+        assert (code, out) == (2, ""), powers
+        assert err == "error: need at least three forms in three variables\n", powers
 
 
 def test_malformed_env_prime_exits_two(capsys, monkeypatch):
@@ -259,11 +270,32 @@ def test_cli_answers_match_verdict_for(capsys):
         assert rows[exps] == [[f.degree, f.deficiency] for f in verdict.failures]
 
 
+def test_slp_three_vars_matches_oracle(capsys):
+    # The SLP fails exactly in the degrees where some power map misses
+    # maximal rank on the quotient.
+    for s in (4, 5):
+        for lead in (1, 2, 3):
+            for rest in combinations_with_replacement(range(2, 6), s - 1):
+                powers = (lead,) + rest
+                code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", ",".join(map(str, powers)))
+                assert code == 0, powers
+                sample = sample_ideal(ExponentSpec(3, powers), seed=1)
+                degrees = sorted(
+                    {j for k in range(1, regularity(sample) + 1) for j, _ in lefschetz_scan(sample, k, trials=3)}
+                )
+                doc = json.loads(out)
+                assert (doc["status"], doc["degrees"]) == ("fails" if degrees else "maximal-everywhere", degrees), powers
+
+
 def test_uncovered_cases_exit_two(capsys):
     for argv in (
         ("verify", "--k", "4"),
         ("slp", "--vars", "4", "--powers", "4,4,4,4"),
         ("verify", "--vars", "4", "--k", "1", "--specs", "3,3,3"),
+        ("slp", "--vars", "3", "--powers", "3,4,4"),
+        ("slp", "--vars", "3", "--powers", "3,3,3"),
+        ("slp", "--vars", "3", "--powers", "4,4,4,4"),
+        ("slp", "--vars", "5", "--powers", "3,3,3,3,3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

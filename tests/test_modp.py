@@ -22,14 +22,6 @@ def test_rejects_composite_modulus():
         PrimeField(2147483646)
 
 
-def test_field_inverse():
-    f = PrimeField(101)
-    for x in (1, 2, 57, 100):
-        assert x * f.inv(x) % 101 == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
 def test_rank_zero_matrix():
     f = PrimeField()
     m = DenseMatrix.zeros(f, 3, 3)
