@@ -341,8 +341,9 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
     """Closed-form SLP verdict in three variables, WLP verdict in four.
 
     Three variables, first match: a square generator, a linear one (leaving a
-    two-variable quotient), or a cube plus at least three more powers (the
-    cube-quotient checks of the rest).  Four variables: the rules of
+    two-variable quotient), three forms (a complete intersection, which has
+    the SLP), or a cube plus at least three more powers (the cube-quotient
+    checks of the rest).  Four variables: the rules of
     `verdict_for`.  Anything else raises ValueError.
     """
     exps = spec.exponents
@@ -352,6 +353,8 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
             return LefschetzVerdict("SLP", "square-generator", slp_with_square_generator(spec))
         if exps[0] == 1:
             return LefschetzVerdict("SLP", "linear-generator", Verdict(MAXIMAL))
+        if spec.s == 3:
+            return LefschetzVerdict("SLP", "complete-intersection", Verdict(MAXIMAL))
         if exps[0] == 3 and spec.s > 3:
             report = slp_after_cube_quotient(ExponentSpec(3, exps[1:]))
             by_degree = {f.degree: f for _, v in report.checks for f in v.failures}

@@ -272,19 +272,24 @@ def test_cli_answers_match_verdict_for(capsys):
 
 def test_slp_three_vars_matches_oracle(capsys):
     # The SLP fails exactly in the degrees where some power map misses
-    # maximal rank on the quotient.
-    for s in (4, 5):
-        for lead in (1, 2, 3):
-            for rest in combinations_with_replacement(range(2, 6), s - 1):
-                powers = (lead,) + rest
-                code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", ",".join(map(str, powers)))
-                assert code == 0, powers
-                sample = sample_ideal(ExponentSpec(3, powers), seed=1)
-                degrees = sorted(
-                    {j for k in range(1, regularity(sample) + 1) for j, _ in lefschetz_scan(sample, k, trials=3)}
-                )
-                doc = json.loads(out)
-                assert (doc["status"], doc["degrees"]) == ("fails" if degrees else "maximal-everywhere", degrees), powers
+    # maximal rank on the quotient.  Three forms of degree >= 3 are the
+    # complete-intersection rule; the rest cover the other three rules.
+    cases = [
+        (lead,) + rest
+        for s in (4, 5)
+        for lead in (1, 2, 3)
+        for rest in combinations_with_replacement(range(2, 6), s - 1)
+    ]
+    cases += combinations_with_replacement(range(3, 7), 3)
+    for powers in cases:
+        code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", ",".join(map(str, powers)))
+        assert code == 0, powers
+        sample = sample_ideal(ExponentSpec(3, powers), seed=1)
+        degrees = sorted(
+            {j for k in range(1, regularity(sample) + 1) for j, _ in lefschetz_scan(sample, k, trials=3)}
+        )
+        doc = json.loads(out)
+        assert (doc["status"], doc["degrees"]) == ("fails" if degrees else "maximal-everywhere", degrees), powers
 
 
 def test_uncovered_cases_exit_two(capsys):
@@ -292,8 +297,6 @@ def test_uncovered_cases_exit_two(capsys):
         ("verify", "--k", "4"),
         ("slp", "--vars", "4", "--powers", "4,4,4,4"),
         ("verify", "--vars", "4", "--k", "1", "--specs", "3,3,3"),
-        ("slp", "--vars", "3", "--powers", "3,4,4"),
-        ("slp", "--vars", "3", "--powers", "3,3,3"),
         ("slp", "--vars", "3", "--powers", "4,4,4,4"),
         ("slp", "--vars", "5", "--powers", "3,3,3,3,3"),
     ):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leflab.modp import (
     DEFAULT_PRIME,
+    SMALL_CELLS,
     DenseMatrix,
     PrimeField,
+    _echelon_large,
+    _echelon_small,
     is_prime,
     matrix_rank,
     reduce_rows,
@@ -102,3 +107,42 @@ def test_row_echelon_reduction_normal_form():
     assert outside.any()
     # Pivot coordinates are cleared in every normal form.
     assert outside[0, 0] == 0 and outside[0, 2] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_small_and_large_paths_agree(data):
+    # Shapes on both sides of SMALL_CELLS; rows drawn from a span of chosen
+    # rank, then sparsified and given zero rows and zero columns, so pivots
+    # are skipped, swapped and missing.
+    p = data.draw(st.sampled_from((7, 101, DEFAULT_PRIME)), label="p")
+    rows = data.draw(st.integers(1, 14), label="rows")
+    fit = SMALL_CELLS // rows
+    if data.draw(st.booleans(), label="small"):
+        cols = data.draw(st.integers(1, min(fit, 14)), label="cols")
+    else:
+        cols = data.draw(st.integers(fit + 1, fit + 14), label="cols")
+    rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
+    density = data.draw(st.sampled_from((0.2, 0.6, 1.0)), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    basis = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < density)
+    combos = rng.integers(0, p, size=(rows, rank)) * (rng.random((rows, rank)) < density)
+    arr = (combos.astype(object) @ basis.astype(object)) % p if rank else np.zeros((rows, cols))
+    arr = np.asarray(arr, dtype=np.int64)
+    arr[rng.random(rows) < 0.2, :] = 0
+    arr[:, rng.random(cols) < 0.2] = 0
+    m = DenseMatrix(PrimeField(p), arr)
+    for reduced in (False, True):
+        small_rows, pivots = _echelon_small(m.entries, p, reduced)
+        large_rows, large_pivots = _echelon_large(m.entries, p, reduced)
+        assert pivots == large_pivots
+        assert small_rows.shape == large_rows.shape == (len(pivots), cols)
+        assert np.array_equal(small_rows, large_rows)
+        assert (small_rows[range(len(pivots)), pivots] == 1).all()
+    assert len(pivots) <= rank
+    # The reduced form, left by the last pass: unit vectors in pivot columns.
+    assert np.array_equal(small_rows[:, pivots], np.eye(len(pivots), dtype=np.int64))
+    ech, ech_pivots = row_echelon(m)
+    assert ech_pivots == tuple(pivots)
+    assert np.array_equal(ech.entries, small_rows)
+    assert matrix_rank(m) == len(pivots)
