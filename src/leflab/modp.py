@@ -11,11 +11,14 @@ overhead would dominate; larger ones with numpy row operations.  Both paths
 pick the first nonzero entry at or below the current row as the pivot and
 invert it with `pow(x, -1, p)`, so they return the same rows and pivots.
 The limit is the measured crossover of the two paths (see SMALL_CELLS).
+`all_minors_nonzero`, the general-position test of the oracle's samples,
+runs the list path on each minor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -91,8 +94,14 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols} mod {self.field.modulus})"
 
     @classmethod
-    def _wrap(cls, field: PrimeField, arr: np.ndarray) -> "DenseMatrix":
-        """A matrix on `arr` as it is: a 2-D int64 array already reduced mod p."""
+    def from_reduced(cls, field: PrimeField, arr: np.ndarray) -> "DenseMatrix":
+        """A matrix on `arr` as it is, without copying or reducing it again.
+
+        `arr` must be a 2-D int64 array with entries in [0, p), such as the
+        output of `polyring.mult_matrix`, slices and stacks of it, or an
+        echelon form; it is made read-only.  Use `DenseMatrix(...)` for
+        entries from anywhere else.
+        """
         arr.flags.writeable = False
         m = cls.__new__(cls)
         m.field = field
@@ -114,10 +123,12 @@ class DenseMatrix:
 SMALL_CELLS = 100
 
 
-def _echelon_small(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """`_echelon` on lists of Python ints: no per-operation numpy dispatch."""
-    m, n = arr.shape
-    a = arr.tolist()
+def _echelon_lists(a: list[list[int]], p: int, reduced: bool = False) -> list[int]:
+    """`_echelon` in place on lists of Python ints; returns the pivots.
+
+    The first len(pivots) rows end as the echelon rows and the rest as zeros.
+    """
+    m, n = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -138,7 +149,14 @@ def _echelon_small(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.n
                 a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
         pivots.append(c)
         r += 1
-    return np.array(a[:r], dtype=np.int64).reshape(r, n), pivots
+    return pivots
+
+
+def _echelon_small(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    """`_echelon` on lists of Python ints: no per-operation numpy dispatch."""
+    a = arr.tolist()
+    pivots = _echelon_lists(a, p, reduced)
+    return np.array(a[: len(pivots)], dtype=np.int64).reshape(len(pivots), arr.shape[1]), pivots
 
 
 def _echelon_large(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
@@ -200,7 +218,7 @@ def row_echelon(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
     if m.rows == 0 or m.cols == 0:
         return DenseMatrix.zeros(m.field, 0, m.cols), ()
     ech, pivots = _echelon(m.entries, m.field.modulus, reduced=True)
-    return DenseMatrix._wrap(m.field, ech), tuple(pivots)
+    return DenseMatrix.from_reduced(m.field, ech), tuple(pivots)
 
 
 def reduce_rows(vectors: np.ndarray, echelon: DenseMatrix, pivots: Sequence[int]) -> np.ndarray:
@@ -215,3 +233,21 @@ def reduce_rows(vectors: np.ndarray, echelon: DenseMatrix, pivots: Sequence[int]
         if nz.size:
             out[nz, :] = (out[nz, :] - coeff[nz, None] * echelon.entries[k]) % p
     return out
+
+
+def all_minors_nonzero(rows: Sequence[Sequence[int]], p: int) -> bool:
+    """Whether every square minor of `rows` (Python ints in [0, p)) is nonzero mod p.
+
+    For a matrix [I_r | B], every r columns are independent exactly when
+    every square minor of B is nonzero: the columns S of I_r and T of B
+    have the determinant of B on the rows outside S and the columns T, up
+    to sign.  Minors are tested from 1x1 up, so a zero entry ends at once.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    for t in range(1, min(m, n) + 1):
+        for rs in combinations(range(m), t):
+            for cs in combinations(range(n), t):
+                if len(_echelon_lists([[rows[i][j] for j in cs] for i in rs], p)) < t:
+                    return False
+    return True

@@ -9,8 +9,19 @@ Dimensions are computed inside a monomial complete intersection.  An exact
 change of coordinates over F_p (`ci_frame`) turns a maximal independent set
 of the forms, smallest exponents first, into variables, so their powers span
 a monomial ideal counted without elimination; only the remaining powers are
-row-reduced, on the monomials that survive in the quotient by it.  The
-standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
+row-reduced, on the monomials that survive in the quotient by it.
+
+A trial form L gets no echelon of its own.  `rank_with_form` maps L into the
+sample's frame (coordinates l) and makes one exchange step: the variable y_m
+with l_m != 0 and the largest cap (a free one counts as largest) is replaced
+by L when k is below its cap, through the elementary change sending l to
+e_m, and the displaced power y_m^cap joins the remaining powers; otherwise
+L^k itself joins them.  That is the basis of smallest powers that
+`ci_frame` of the adjoined sample would pick, so the matrices stay as small.
+`sample_ideal` tests general position on its candidate's frame: any r of the
+forms are independent exactly when the frame chose the first r and every
+square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
+The standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
 stays in the full ring as an independent check.
 """
 
@@ -19,11 +30,18 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank, reduce_rows, row_echelon
+from .modp import (
+    DEFAULT_PRIME,
+    DenseMatrix,
+    PrimeField,
+    all_minors_nonzero,
+    matrix_rank,
+    reduce_rows,
+    row_echelon,
+)
 from .polyring import LinearFormRep, graded_dim, monomial_basis, mult_matrix, power_coords
 
 DEFAULT_TRIALS = 5
@@ -125,14 +143,6 @@ def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> L
             return LinearFormRep(coeffs)
 
 
-def _all_subsets_independent(field: PrimeField, forms: tuple[LinearFormRep, ...], r: int) -> bool:
-    for subset in combinations(forms, r):
-        m = DenseMatrix(field, [f.coeffs for f in subset])
-        if matrix_rank(m) < r:
-            return False
-    return True
-
-
 def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) -> IdealSample:
     """Draw the linear forms for `spec`, resampling until any r of them are independent."""
     field = PrimeField(prime)
@@ -142,11 +152,13 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
     rng = np.random.default_rng(seed)
     while True:
         forms = tuple(random_form(field, spec.num_vars, rng) for _ in range(spec.s))
-        if spec.s < spec.num_vars or _all_subsets_independent(field, forms, spec.num_vars):
-            return IdealSample(spec, forms, field, seed)
+        sample = IdealSample(spec, forms, field, seed)
+        if spec.s < spec.num_vars or _in_general_position(sample):
+            return sample
 
 
-# Bounded: each trial form, and each form a trial displaces from a frame, is new.
+# Bounded: a trial frame's exchanged forms are new for every trial form, while
+# the sample's own remaining forms recur in every degree and every trial.
 @lru_cache(maxsize=256)
 def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
     vec = power_coords(field, form, power)
@@ -183,7 +195,9 @@ class CIFrame:
     rest: tuple[tuple[LinearFormRep, int], ...]
 
 
-# Bounded: every adjoined trial form makes a new sample, used for one degree.
+# Bounded: in the library only samples drawn by `sample_ideal` get a frame,
+# one per sweep row (two on a second-prime retry), reused for every degree
+# and every trial form.
 @lru_cache(maxsize=64)
 def ci_frame(sample: IdealSample) -> CIFrame:
     """The frame from the reduced echelon form E = A [F^T | I_r] of the forms F.
@@ -206,6 +220,19 @@ def ci_frame(sample: IdealSample) -> CIFrame:
     return CIFrame(change, tuple(exps[c] if c < len(exps) else None for c in pivots), rest)
 
 
+def _in_general_position(sample: IdealSample) -> bool:
+    """Whether any r of the s >= r forms are independent, from the sample's frame.
+
+    When the frame chose the first r forms, its echelon has the form block
+    [I_r | B] with B the coordinates of `rest`, and any r forms are
+    independent exactly when every square minor of B is nonzero.  When it
+    did not, the first r forms are dependent, and one of them is in `rest`
+    with a zero in the row of some later pivot, so the 1x1 minors fail.
+    """
+    block = [list(col) for col in zip(*(form.coeffs for form, _ in ci_frame(sample).rest))]
+    return all_minors_nonzero(block, sample.field.modulus)
+
+
 @lru_cache(maxsize=None)
 def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     """Rows of the degree-j monomial basis that are not in (x_m^caps[m])."""
@@ -215,30 +242,38 @@ def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def ideal_piece_dim(sample: IdealSample, j: int) -> int:
-    """dim of the degree-j piece of the ideal for this sample.
+def _frame_piece_dim(
+    field: PrimeField,
+    caps: tuple[int | None, ...],
+    rest: tuple[tuple[LinearFormRep, int], ...],
+    j: int,
+) -> int:
+    """dim of the degree-j piece of (y_m^caps[m]) + (form^a for form, a in rest).
 
-    In the frame's coordinates the ideal is J + (remaining powers) with J the
-    monomial ideal of the chosen powers.  J_j is spanned by the monomials off
+    J, the monomial ideal of the caps, has J_j spanned by the monomials off
     `_ci_rows`; the remaining powers add the rank of their products with the
     surviving monomials, reduced modulo J.
     """
-    if j < 0:
-        return 0
-    field = sample.field
-    r = sample.spec.num_vars
-    frame = ci_frame(sample)
-    rows = _ci_rows(r, frame.caps, j)
+    r = len(caps)
+    rows = _ci_rows(r, caps, j)
     blocks = [
         mult_matrix(field, r, _gen_coords(field, form, a), a, j).entries[
-            np.ix_(rows, _ci_rows(r, frame.caps, j - a))
+            np.ix_(rows, _ci_rows(r, caps, j - a))
         ]
-        for form, a in frame.rest
+        for form, a in rest
         if a <= j
     ]
-    rank = matrix_rank(DenseMatrix(field, np.hstack(blocks))) if blocks else 0
+    rank = matrix_rank(DenseMatrix.from_reduced(field, np.hstack(blocks))) if blocks else 0
     return graded_dim(r, j) - rows.size + rank
+
+
+@lru_cache(maxsize=None)
+def ideal_piece_dim(sample: IdealSample, j: int) -> int:
+    """dim of the degree-j piece of the ideal for this sample, in its frame."""
+    if j < 0:
+        return 0
+    frame = ci_frame(sample)
+    return _frame_piece_dim(sample.field, frame.caps, frame.rest, j)
 
 
 def quotient_dim(sample: IdealSample, j: int) -> int:
@@ -272,10 +307,40 @@ def _trial_rng(sample: IdealSample, k: int, j: int) -> np.random.Generator:
     return np.random.default_rng([sample.seed, sample.field.modulus, k, j, 0x1EF1AB])
 
 
+def _exchange(
+    frame: CIFrame, form: LinearFormRep, k: int, p: int
+) -> tuple[tuple[int | None, ...], tuple[tuple[LinearFormRep, int], ...]]:
+    """Caps and remaining powers of a frame for the sample's ideal plus form**k."""
+    # Python ints: a row of three 31-bit products overflows int64.
+    ell = [sum(c * x for c, x in zip(row, form.coeffs)) % p for row in frame.change.tolist()]
+    caps = frame.caps
+    m = max((i for i, x in enumerate(ell) if x), key=lambda i: (caps[i] is None, caps[i] or 0))
+    if caps[m] is not None and k >= caps[m]:
+        return caps, frame.rest + ((LinearFormRep(tuple(ell)), k),)
+    # New variable m is L; y_m = (L - sum_{i != m} ell_i y_i) / ell_m.
+    inv = pow(ell[m], -1, p)
+
+    def exchanged(v: tuple[int, ...]) -> LinearFormRep:
+        vm = v[m] * inv % p
+        return LinearFormRep(tuple(vm if i == m else (x - l * vm) % p for i, (x, l) in enumerate(zip(v, ell))))
+
+    rest = tuple((exchanged(f.coeffs), a) for f, a in frame.rest)
+    if caps[m] is not None:
+        rest += ((exchanged(tuple(int(i == m) for i in range(len(ell)))), caps[m]),)
+    return caps[:m] + (k,) + caps[m + 1 :], rest
+
+
 def rank_with_form(sample: IdealSample, form: LinearFormRep, k: int, j: int) -> int:
-    """Rank of multiplication by form**k into degree j, as a dimension drop."""
-    adjoined = sample.adjoin_form(form, k)
-    return quotient_dim(sample, j) - quotient_dim(adjoined, j)
+    """Rank of multiplication by form**k into degree j, as a dimension drop.
+
+    The drop is dim (I + form^k)_j - dim I_j, with the first term ranked in a
+    frame made from the sample's own by one exchange step (`_exchange`).
+    """
+    if j < 0:
+        return 0
+    field = sample.field
+    caps, rest = _exchange(ci_frame(sample), form, k, field.modulus)
+    return _frame_piece_dim(field, caps, rest, j) - ideal_piece_dim(sample, j)
 
 
 def mult_rank_report(
@@ -330,7 +395,7 @@ def standard_monomials(sample: IdealSample, j: int) -> tuple[DenseMatrix, tuple[
     The non-pivot monomial positions index a vector-space basis of the
     degree-j piece of the quotient.
     """
-    ech, pivots = row_echelon(DenseMatrix(sample.field, _ideal_matrix(sample, j).T))
+    ech, pivots = row_echelon(DenseMatrix.from_reduced(sample.field, _ideal_matrix(sample, j).T))
     chosen = set(pivots)
     std = tuple(c for c in range(ech.cols) if c not in chosen)
     return ech, pivots, std
@@ -351,4 +416,6 @@ def mult_matrix_on_quotient(
     big = mult_matrix(field, r, _gen_coords(field, form, k), k, j)
     cols = big.entries[:, list(std_dom)] if std_dom else np.zeros((big.rows, 0), dtype=np.int64)
     reduced = reduce_rows(cols.T, ech, pivots)
-    return DenseMatrix(field, reduced[:, list(std_cod)].T if std_cod else np.zeros((0, len(std_dom)), dtype=np.int64))
+    return DenseMatrix.from_reduced(
+        field, reduced[:, list(std_cod)].T if std_cod else np.zeros((0, len(std_dom)), dtype=np.int64)
+    )

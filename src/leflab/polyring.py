@@ -123,4 +123,4 @@ def mult_matrix(
     out = np.zeros((graded_dim(num_vars, target_degree), index.shape[1]), dtype=np.int64)
     # Distinct terms of f send a monomial m to distinct products, so no cell is hit twice.
     out[index[nz], np.arange(index.shape[1])] = coeffs[nz, None]
-    return DenseMatrix(field_, out)
+    return DenseMatrix.from_reduced(field_, out)

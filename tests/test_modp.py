@@ -10,6 +10,7 @@ from leflab.modp import (
     PrimeField,
     _echelon_large,
     _echelon_small,
+    all_minors_nonzero,
     is_prime,
     matrix_rank,
     reduce_rows,
@@ -60,6 +61,11 @@ def test_entries_reduced_and_immutable():
     assert m.entries.tolist() == [[1, 6], [0, 3]]
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5
+    arr = np.array([[1, 6], [0, 3]], dtype=np.int64)
+    wrapped = DenseMatrix.from_reduced(f, arr)
+    assert wrapped.entries is arr
+    with pytest.raises(ValueError):
+        wrapped.entries[0, 0] = 5
 
 
 def test_rank_at_most_min_dimension():
@@ -146,3 +152,19 @@ def test_small_and_large_paths_agree(data):
     assert ech_pivots == tuple(pivots)
     assert np.array_equal(ech.entries, small_rows)
     assert matrix_rank(m) == len(pivots)
+
+
+def test_all_minors_nonzero_checks_every_size():
+    assert all_minors_nonzero([], 7)
+    assert all_minors_nonzero([[1, 2], [3, 4]], 7)
+    assert not all_minors_nonzero([[1, 2], [0, 4]], 7)
+    assert not all_minors_nonzero([[1, 2], [3, 6]], 7)
+    # Over F_11 every entry and 2x2 minor of this matrix is nonzero; only its
+    # determinant vanishes.
+    rows = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    assert all(
+        (rows[a][c] * rows[b][d] - rows[a][d] * rows[b][c]) % 11
+        for a in range(3) for b in range(a + 1, 3) for c in range(3) for d in range(c + 1, 3)
+    )
+    assert not all_minors_nonzero(rows, 11)
+    assert all_minors_nonzero([row[:2] for row in rows], 11)

@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leflab.modp import DenseMatrix, PrimeField, matrix_rank
@@ -10,6 +12,7 @@ from leflab.oracle import (
     NonArtinianError,
     PrimeTooSmallError,
     _ideal_matrix,
+    _in_general_position,
     ci_frame,
     hilbert_function,
     ideal_piece_dim,
@@ -47,6 +50,15 @@ def ci_hilbert(exponents):
 def full_ring_ideal_dim(sample, j):
     """Independent oracle: rank of every generator multiple in all of R_j."""
     return matrix_rank(DenseMatrix(sample.field, _ideal_matrix(sample, j)))
+
+
+def subsets_independent(sample):
+    """Reference general-position test: every r of the forms have rank r."""
+    r = sample.spec.num_vars
+    return all(
+        matrix_rank(DenseMatrix(sample.field, [f.coeffs for f in subset])) == r
+        for subset in combinations(sample.forms, r)
+    )
 
 
 def new_coords(frame, form, p):
@@ -415,3 +427,81 @@ def test_ci_frame_maps_chosen_forms_to_unit_vectors(exponents):
     assert [(new_coords(frame, f, p), a) for f, a in zip(sample.forms[chosen:], exponents[chosen:])] == [
         (list(form.coeffs), a) for form, a in frame.rest
     ]
+
+
+@st.composite
+def trial_cases(draw):
+    """A sample, a power k and trial forms, often in special position.
+
+    Samples of small forms are dependent or leave free variables, and small
+    trial forms then have zero coordinates in the frame.  Multiples of the
+    sample's forms are proportional to a chosen or a remaining form, where
+    the exact coordinates of the exchange matter.  k runs below, at and
+    above the caps.
+    """
+    r = draw(st.integers(2, 4), label="num_vars")
+    s = draw(st.integers(1, r + 2), label="s")
+    spec = ExponentSpec(r, tuple(draw(st.lists(st.integers(1, 6), min_size=s, max_size=s), label="exponents")))
+    small_form = st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(any).map(lambda c: LinearFormRep(tuple(c)))
+    if draw(st.booleans(), label="small sample"):
+        sample = IdealSample(spec, tuple(draw(small_form, label="sample form") for _ in range(s)), PrimeField(), seed=0)
+    else:
+        sample = sample_ideal(spec, seed=draw(st.integers(0, 999), label="seed"))
+    k = draw(st.integers(1, 4), label="k")
+    scale = draw(st.integers(1, 3), label="scale")
+    trial_forms = [draw(small_form, label="trial form")]
+    trial_forms += [LinearFormRep(tuple(scale * c for c in f.coeffs)) for f in sample.forms]
+    return sample, k, trial_forms
+
+
+# x, y, z, x+y+z with powers 3, 3, 4, 4.  L = 2(x+y+z) swaps out z and makes
+# the remaining form a power of L (a wrong inverse in the exchange keeps it a
+# new form); L = x+y has no z coordinate, so z cannot be swapped out.
+_SPECIAL_CASE = (
+    IdealSample(
+        ExponentSpec(3, (3, 3, 4, 4)),
+        tuple(LinearFormRep(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
+        PrimeField(),
+        seed=0,
+    ),
+    2,
+    [LinearFormRep((2, 2, 2)), LinearFormRep((1, 1, 0))],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trial_cases())
+@example(_SPECIAL_CASE)
+def test_exchange_step_matches_adjoined_frame(case):
+    # rank_with_form ranks the trial ideal in a frame made from the sample's
+    # own by one exchange step; the reference ranks it in the frame of the
+    # adjoined sample.
+    sample, k, trial_forms = case
+    for form in trial_forms:
+        adjoined = sample.adjoin_form(form, k)
+        for j in range(0, 9):
+            expected = quotient_dim(sample, j) - quotient_dim(adjoined, j)
+            assert rank_with_form(sample, form, k, j) == expected, (sample, form, k, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_general_position_matches_subset_ranks(data):
+    # Over small primes dependent r-subsets are common.
+    p = data.draw(st.sampled_from((7, 11)), label="p")
+    r = data.draw(st.integers(2, 4), label="num_vars")
+    s = data.draw(st.integers(r, r + 3), label="s")
+    coeffs = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).filter(any)
+    forms = tuple(LinearFormRep(tuple(c)) for c in data.draw(st.lists(coeffs, min_size=s, max_size=s), label="forms"))
+    sample = IdealSample(ExponentSpec(r, (2,) * s), forms, PrimeField(p), seed=0)
+    assert _in_general_position(sample) == subsets_independent(sample)
+
+
+def test_general_position_needs_two_by_two_minors():
+    # B = [[1, 1], [1, 1], [1, 2]] has no zero entry, but its top 2x2 minor
+    # vanishes: z, x+y+z and x+y+2z are dependent.
+    forms = tuple(LinearFormRep(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 2)))
+    sample = IdealSample(ExponentSpec(3, (2,) * 5), forms, PrimeField(), seed=0)
+    assert all(all(form.coeffs) for form, _ in ci_frame(sample).rest)
+    assert not subsets_independent(sample)
+    assert not _in_general_position(sample)
