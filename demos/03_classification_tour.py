@@ -2,9 +2,11 @@
 
 Squares never fail in three variables.  Cubes fail exactly when a small
 arithmetic condition on the exponent multiset holds, and then only in one
-degree with a one-dimensional cokernel.  Uniform powers make the condition
-explicit: s even and s-1 dividing t.  The same machinery settles SLP
-questions in three variables and WLP questions in four.
+degree with a one-dimensional cokernel.  On uniform powers (s copies of t)
+the general classification reduces to: s even and s-1 dividing t.  The same
+machinery settles SLP questions in three variables (`slp_verdict` on a cube
+plus s copies of t fails exactly when s is odd and t >= s) and WLP questions
+in four.
 """
 
 import leflab as L
@@ -15,7 +17,7 @@ print("      t:", " ".join(f"{t:2d}" for t in range(2, 16)))
 for s in range(4, 9):
     row = []
     for t in range(2, 16):
-        verdict = theory.classify_cube_uniform(s, t)
+        verdict = theory.classify_cube(L.ExponentSpec(3, (t,) * s))
         row.append(" F" if verdict.status == theory.FAILS else " .")
     print(f"  s={s:2d} ", " ".join(row).replace("  ", " "))
 
@@ -27,11 +29,12 @@ print("  oracle: ", L.lefschetz_scan(sample, 3))
 
 print("\nSLP after quotienting by a general cube, uniform powers:")
 for s, t in ((5, 5), (5, 4), (4, 100), (7, 9)):
-    print(f"  s={s}, t={t}: SLP={theory.slp_after_cube_quotient_uniform(s, t)}")
+    answer = theory.slp_verdict(L.ExponentSpec(3, (3,) + (t,) * s))
+    print(f"  s={s}, t={t}: SLP={answer.verdict.status == theory.MAXIMAL}")
 
-report = theory.slp_after_cube_quotient(L.ExponentSpec(3, (5,) * 5))
+answer = theory.slp_verdict(L.ExponentSpec(3, (3,) + (5,) * 5))
 print("per-power evidence for (5^5):")
-for b, verdict in report.checks:
+for b, verdict in answer.checks:
     print(f"  extra power b={b}: {verdict.status} {verdict.failing_degrees or ''}")
 
 print("\nWLP in four variables, one cube plus s copies of t:")

@@ -46,12 +46,8 @@ from .linsys import (
 from .theory import (
     Verdict,
     classify_cube,
-    classify_cube_uniform,
     classify_square,
-    exponent_counts,
-    injectivity_certificate,
     peak_degree,
-    peak_degree_uniform,
     slp_verdict,
     verdict_for,
 )
@@ -95,12 +91,8 @@ __all__ = [
     "system_dim",
     "Verdict",
     "classify_cube",
-    "classify_cube_uniform",
     "classify_square",
-    "exponent_counts",
-    "injectivity_certificate",
     "peak_degree",
-    "peak_degree_uniform",
     "slp_verdict",
     "verdict_for",
     "SweepConfig",

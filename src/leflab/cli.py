@@ -254,7 +254,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "prime" in vars(args) and args.prime is None:
             args.prime = _default_prime()
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

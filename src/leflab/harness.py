@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .modp import DEFAULT_PRIME
+from .modp import DEFAULT_PRIME, PrimeField
 from .oracle import DEFAULT_TRIALS, ExponentSpec, lefschetz_scan, sample_ideal
 from . import theory
 
@@ -35,6 +35,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.primes:
             raise ValueError("need at least one prime")
+        for prime in self.primes:
+            PrimeField(prime)  # a bad retry prime fails here, not mid-sweep
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         if self.specs is None:

@@ -12,7 +12,7 @@ prime field serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 from typing import Optional
 
 import numpy as np
@@ -119,9 +119,10 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
     """
     d = sys.degree
     p = field.modulus
-    n_mono = binom(d + 2, 2)
-    exps = monomial_basis(3, d).tolist()
-    rows = []
+    a, b, c = monomial_basis(3, d).T
+    # falling[n, u] = n (n-1) ... (n-u+1) mod p, zero for u > n.
+    falling = np.array([[perm(n, u) % p for u in range(d + 1)] for n in range(d + 1)], dtype=np.int64)
+    blocks = []
     seen = set()
     for mult in sys.mults:
         while True:
@@ -129,29 +130,16 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
             if pt not in seen:
                 seen.add(pt)
                 break
-        x0, y0 = pt
-        xpow = [pow(x0, e, p) for e in range(d + 1)]
-        ypow = [pow(y0, e, p) for e in range(d + 1)]
-        order = min(mult, d + 1) - 1
-        for u in range(order + 1):
-            for v in range(order + 1 - u):
-                w = order - u - v
-                row = np.zeros(n_mono, dtype=np.int64)
-                for idx, (a, b, c) in enumerate(exps):
-                    if a < u or b < v or c < w:
-                        continue
-                    coeff = 1
-                    for t in range(u):
-                        coeff = coeff * (a - t) % p
-                    for t in range(v):
-                        coeff = coeff * (b - t) % p
-                    for t in range(w):
-                        coeff = coeff * (c - t) % p
-                    row[idx] = coeff * xpow[a - u] % p * ypow[b - v] % p
-                rows.append(row)
-    if not rows:
+        xpow, ypow = (np.array([pow(t, e, p) for e in range(d + 1)], dtype=np.int64) for t in pt)
+        # One row per partial derivative of that order, u, v and w times in x, y
+        # and z, evaluated at (x, y, z) = (*pt, 1).
+        u, v, w = (col[:, None] for col in monomial_basis(3, min(mult, d + 1) - 1).T)
+        block = falling[a, u] * falling[b, v] % p * falling[c, w] % p
+        block = block * xpow[np.maximum(a - u, 0)] % p * ypow[np.maximum(b - v, 0)] % p
+        blocks.append(block)
+    if not blocks:
         return 0
-    return matrix_rank(DenseMatrix(field, np.array(rows)))
+    return matrix_rank(DenseMatrix.from_reduced(field, np.vstack(blocks)))
 
 
 def fatpoint_dim(

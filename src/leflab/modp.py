@@ -18,6 +18,7 @@ runs the list path on each minor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -30,6 +31,9 @@ DEFAULT_PRIME = 2147483647
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Cached: every sample, sweep and fat-point system checks its modulus, and the
+# witness loop takes about 0.1 ms on a 31-bit modulus.
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -1,11 +1,13 @@
 """Closed-form classification of maximal-rank behavior, no linear algebra.
 
 Everything here is integer arithmetic on the exponent multiset: the peak
-degree of the Hilbert function, the counting vector of exponents, and the
-complete square/cube classifications together with their SLP/WLP corollaries
-in three and four variables.  `verdict_for(spec, k)` (a k-th power map) and
-`slp_verdict(spec)` (the SLP or WLP) pick the closed form that answers a spec,
-or raise ValueError; the CLI and the verification harness go through them.
+degree of the Hilbert function and the complete square/cube classifications
+together with their SLP/WLP corollaries in three and four variables.  Each
+result is stated once: where it holds for a general multiset, its uniform
+special case (s copies of t) is an expected value in the tests, not a second
+copy here.  `verdict_for(spec, k)` (a k-th power map) and `slp_verdict(spec)`
+(the SLP or WLP) pick the closed form that answers a spec, or raise
+ValueError; the CLI and the verification harness go through them.
 """
 
 from __future__ import annotations
@@ -13,38 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .linsys import binom
 from .oracle import ExponentSpec, NonArtinianError
 
 MAXIMAL = "maximal-everywhere"
 FAILS = "fails"
-
-EXCHANGE_CONCLUSION = "power-b multiplication has maximal rank on the power-k quotient"
-
-
-@dataclass(frozen=True)
-class ExponentCounts:
-    """counts[j] = number of exponents <= j, for j = 0..j_max."""
-
-    s: int
-    counts: tuple[int, ...]
-
-    @property
-    def j_max(self) -> int:
-        return len(self.counts) - 1
-
-    def at(self, j: int) -> int:
-        if j < 0:
-            return 0
-        if j <= self.j_max:
-            return self.counts[j]
-        if self.counts and self.counts[-1] == self.s:
-            return self.s
-        raise IndexError(f"count at degree {j} not computed (j_max={self.j_max})")
-
-    def partial_sum(self, j: int) -> int:
-        """counts[0] + ... + counts[j]."""
-        return sum(self.at(i) for i in range(j + 1))
 
 
 @dataclass(frozen=True)
@@ -78,16 +52,11 @@ class Verdict:
         return tuple(f.degree for f in self.failures)
 
 
-def exponent_counts(spec: ExponentSpec, j_max: int) -> ExponentCounts:
-    counts = tuple(sum(1 for a in spec.exponents if a <= j) for j in range(j_max + 1))
-    return ExponentCounts(spec.s, counts)
-
-
 def line_condition_sum(spec: ExponentSpec, j: int) -> int:
     """Sum of (j+1-a_i) over exponents a_i <= j.
 
-    Equals the partial sum of the counting vector through degree j; this is
-    the number of conditions the dual points put on degree-j binary forms.
+    Equals the sum over i = 0..j of the number of exponents at most i; this
+    is the number of conditions the dual points put on degree-j binary forms.
     """
     return sum(j + 1 - a for a in spec.exponents if a <= j)
 
@@ -110,31 +79,6 @@ def peak_degree(spec: ExponentSpec) -> int:
     return best
 
 
-def peak_degree_uniform(s: int, t: int) -> int:
-    """Peak degree for s copies of the exponent t."""
-    if s < 2 or t < 1:
-        raise ValueError("need s >= 2 and t >= 1")
-    if s >= t + 1:
-        return t - 1
-    return s * (t - 1) // (s - 1)
-
-
-def injectivity_certificate(spec: ExponentSpec, k: int, j: int) -> int:
-    """Quotient dimension that certifies injectivity of a k-th-power map.
-
-    If the exact dimension of the degree-j piece of the quotient by the ideal
-    with a general k-th power adjoined equals this value, multiplication by
-    that power into degree j is injective.
-    """
-    a_max = max(spec.exponents)
-    if k < 1 or j < max(k, a_max):
-        raise ValueError("need k >= 1 and j >= max(k, largest exponent)")
-    head = j * k + 1 - binom(k - 1, 2)
-    low = sum(k * (j - a) + 1 - binom(k - 1, 2) for a in spec.exponents if a <= j - k)
-    high = sum(binom(j - a + 2, 2) for a in spec.exponents if a > j - k)
-    return head - low - high
-
-
 def _reject_non_artinian_3vars(spec: ExponentSpec) -> None:
     if spec.num_vars != 3:
         raise ValueError("this classification is for three variables")
@@ -152,14 +96,15 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
     """Complete description of maximal rank for multiplication by a cube.
 
     In three variables the map can only miss maximal rank in the single
-    degree peak+2, and it does so exactly when the count of exponents at most
-    peak+1 equals peak + 2 - (partial count sum through peak), that number is
-    even and at least four, and no exponent equals peak+2.  In the failing
-    degree the kernel and cokernel are both one-dimensional and the domain
-    and codomain have equal dimension.
+    degree peak+2.  It does so exactly when the number of exponents at most
+    peak+1 equals nu = peak + 2 - line_condition_sum(spec, peak), nu is even
+    and at least four, and no exponent equals peak+2.  In the failing degree
+    the kernel and cokernel are both one-dimensional and the domain and
+    codomain have equal dimension.
     """
     _reject_non_artinian_3vars(spec)
-    if any(a == 1 for a in spec.exponents):
+    exps = spec.exponents
+    if 1 in exps:
         # A linear generator eliminates a variable; two-variable quotients
         # have the SLP, so every power map has maximal rank.
         return Verdict(MAXIMAL, witness={"rule_linear_generator": 1})
@@ -167,44 +112,16 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
         # Three general powers form a complete intersection with the SLP.
         return Verdict(MAXIMAL, witness={"rule_complete_intersection": 1})
     p = peak_degree(spec)
-    counts = exponent_counts(spec, p + 2)
-    nu = p + 2 - counts.partial_sum(p)
-    witness = {
-        "peak": p,
-        "nu": nu,
-        "m": counts.at(p),
-        "n": sum(1 for a in spec.exponents if a == p + 1),
-        "q": sum(1 for a in spec.exponents if a == p + 2),
-        "d": p - sum(p + 1 - a for a in spec.exponents if a <= p),
-    }
-    fails = (
-        counts.at(p + 1) == nu
-        and nu >= 4
-        and nu % 2 == 0
-        and counts.at(p + 2) == counts.at(p + 1)
-    )
-    if not fails:
+    conditions = line_condition_sum(spec, p)
+    nu = p + 2 - conditions
+    m = sum(1 for a in exps if a <= p)
+    n, q = exps.count(p + 1), exps.count(p + 2)
+    witness = {"peak": p, "nu": nu, "m": m, "n": n, "q": q, "d": p - conditions}
+    if not (m + n == nu and nu >= 4 and nu % 2 == 0 and q == 0):
         return Verdict(MAXIMAL, witness=witness)
     witness["equal_dims_low"] = p - 1
     witness["equal_dims_high"] = p + 2
     return Verdict(FAILS, (DegreeFailure(p + 2, 1, 1),), witness)
-
-
-def classify_cube_uniform(s: int, t: int) -> Verdict:
-    """Cube classification for s copies of t: fails iff s-1 divides t and s >= 4 is even."""
-    if s < 2 or t < 1:
-        raise ValueError("need s >= 2 and t >= 1")
-    if s <= 3:
-        return Verdict(MAXIMAL, witness={"rule_complete_intersection": 1})
-    p = peak_degree_uniform(s, t)
-    if s % 2 == 0 and t % (s - 1) == 0:
-        j = s * t // (s - 1)
-        return Verdict(
-            FAILS,
-            (DegreeFailure(j, 1, 1),),
-            {"peak": p, "equal_dims_low": j - 3, "equal_dims_high": j},
-        )
-    return Verdict(MAXIMAL, witness={"peak": p})
 
 
 def slp_with_square_generator(spec: ExponentSpec) -> Verdict:
@@ -224,40 +141,6 @@ def wlp_with_square_generator_4vars(spec: ExponentSpec) -> Verdict:
     if spec.s < 4:
         raise NonArtinianError("need at least four forms in four variables")
     return Verdict(MAXIMAL, witness={})
-
-
-@dataclass(frozen=True)
-class CubeQuotientSlp:
-    """SLP status of the quotient by a general cube, with the per-power evidence."""
-
-    has_slp: bool
-    checks: tuple[tuple[int, Verdict], ...]
-
-
-def slp_after_cube_quotient(spec: ExponentSpec) -> CubeQuotientSlp:
-    """SLP of the quotient by a further general cube.
-
-    Checked through the cube classification applied to the exponent multiset
-    with one extra entry b adjoined, for every b from 3 through the peak
-    degree; the quotient has the SLP exactly when none of these fails.
-    """
-    _reject_non_artinian_3vars(spec)
-    p0 = peak_degree(spec)
-    checks = []
-    for b in range(3, p0 + 1):
-        bigger = spec.adjoin(b)
-        # Adjoining a generator can only lower the peak degree.
-        assert peak_degree(bigger) <= p0
-        checks.append((b, classify_cube(bigger)))
-    has_slp = all(v.status == MAXIMAL for _, v in checks)
-    return CubeQuotientSlp(has_slp, tuple(checks))
-
-
-def slp_after_cube_quotient_uniform(s: int, t: int) -> bool:
-    """SLP of the cube quotient for s copies of t: fails iff s is odd and t >= s."""
-    if s < 2:
-        raise ValueError("need s >= 2")
-    return not (s % 2 == 1 and t >= s)
 
 
 @dataclass(frozen=True)
@@ -356,54 +239,23 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
         if spec.s == 3:
             return LefschetzVerdict("SLP", "complete-intersection", Verdict(MAXIMAL))
         if exps[0] == 3 and spec.s > 3:
-            report = slp_after_cube_quotient(ExponentSpec(3, exps[1:]))
-            by_degree = {f.degree: f for _, v in report.checks for f in v.failures}
+            # The cube quotient has the SLP exactly when the cube map has
+            # maximal rank on the rest with each power b from 3 through its
+            # peak adjoined.
+            rest = ExponentSpec(3, exps[1:])
+            p0 = peak_degree(rest)
+            checks = []
+            for b in range(3, p0 + 1):
+                bigger = rest.adjoin(b)
+                # Adjoining a generator can only lower the peak degree.
+                assert peak_degree(bigger) <= p0
+                checks.append((b, classify_cube(bigger)))
+            by_degree = {f.degree: f for _, v in checks for f in v.failures}
             failures = tuple(by_degree[j] for j in sorted(by_degree))
-            verdict = Verdict(MAXIMAL if report.has_slp else FAILS, failures)
-            return LefschetzVerdict("SLP", "cube-quotient", verdict, report.checks)
+            verdict = Verdict(FAILS if failures else MAXIMAL, failures)
+            return LefschetzVerdict("SLP", "cube-quotient", verdict, tuple(checks))
     elif spec.num_vars == 4:
         ruled = _wlp_rule_4vars(spec)
         if ruled is not None:
             return LefschetzVerdict("WLP", *ruled)
     raise ValueError(f"no closed-form verdict for the SLP/WLP, exponents {exps} in {spec.num_vars} variables")
-
-
-@dataclass(frozen=True)
-class ExchangeFacts:
-    """Which maximal-rank hypotheses are known, for the exchange implication.
-
-    `wlp_base`: the base algebra has the WLP; `power_k_max_on_base`:
-    multiplication by the k-th power has maximal rank on the base;
-    `power_k_max_on_quotient_by_b`: same map on the quotient by the b-th
-    power; `power_b_max_on_base`: multiplication by the b-th power on the
-    base.
-    """
-
-    b: int
-    k: int
-    wlp_base: bool = False
-    power_k_max_on_base: bool = False
-    power_k_max_on_quotient_by_b: bool = False
-    power_b_max_on_base: bool = False
-
-
-def exchange_implication(facts: ExchangeFacts) -> Optional[str]:
-    """Entailed conclusion of the exchange property, or None.
-
-    Variant (a) needs the WLP of the base, b >= k, and maximal rank of the
-    k-th-power map on both the base and the quotient by the b-th power;
-    variant (b) needs maximal rank of the k-th-power map on the quotient by
-    the b-th power together with maximal rank of the b-th-power map on the
-    base.  Either yields maximal rank of the b-th-power map on the quotient
-    by the k-th power, in every degree.
-    """
-    variant_a = (
-        facts.wlp_base
-        and facts.b >= facts.k
-        and facts.power_k_max_on_base
-        and facts.power_k_max_on_quotient_by_b
-    )
-    variant_b = facts.power_k_max_on_quotient_by_b and facts.power_b_max_on_base
-    if variant_a or variant_b:
-        return EXCHANGE_CONCLUSION
-    return None

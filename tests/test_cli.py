@@ -59,9 +59,17 @@ def test_slp_three_vars(capsys):
     assert doc["property"] == "SLP" and doc["status"] == "maximal-everywhere"
 
     code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", "3,5,5,5,5,5")
-    doc = json.loads(out)
-    assert doc["status"] == "fails" and doc["degrees"] == [6]
-    assert [5, "fails"] in doc["checks"]
+    assert code == 0
+    assert out == (
+        '{"property":"SLP","status":"fails","degrees":[6],"rule":"cube-quotient",'
+        '"checks":[[3,"maximal-everywhere"],[4,"maximal-everywhere"],[5,"fails"]]}\n'
+    )
+    code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", "3,4,4,4,4")
+    assert code == 0
+    assert out == (
+        '{"property":"SLP","status":"maximal-everywhere","degrees":[],"rule":"cube-quotient",'
+        '"checks":[[3,"maximal-everywhere"],[4,"maximal-everywhere"]]}\n'
+    )
 
     # A linear generator leaves a two-variable quotient, which has the SLP.
     for powers in ("1,4,4", "1,3,5,5"):
@@ -161,6 +169,9 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, "slp", "--vars", "3", "--powers", powers)
         assert (code, out) == (2, ""), powers
         assert err == "error: need at least three forms in three variables\n", powers
+    # A bad retry prime is refused before the sweep, even with no retry due.
+    code, out, err = run_cli(capsys, "verify", "--specs", "3,3,3,3", "--second-prime", "4")
+    assert (code, out, err) == (2, "", "error: modulus 4 is not prime\n")
 
 
 def test_malformed_env_prime_exits_two(capsys, monkeypatch):
@@ -216,6 +227,18 @@ def test_unexpected_error_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.endswith("error: RuntimeError: boom\n")
+
+
+def test_library_key_error_exits_three(capsys, monkeypatch):
+    # No library code raises KeyError on user input, so one is a bug, not a
+    # usage error.
+    def lookup(args):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli._COMMANDS, "hilbert", lookup)
+    code, out, err = run_cli(capsys, "hilbert", "--powers", "3,3,3,3")
+    assert (code, out) == (3, "")
+    assert err.endswith("error: KeyError: 'missing'\n")
 
 
 def test_reused_parser_matches_fresh_parser(capsys):
@@ -321,6 +344,17 @@ def test_sweep_config_validation():
         SweepConfig(trials=0)
     with pytest.raises(ValueError):
         SweepConfig(s_range=(5, 4))
+    # Every prime is checked up front, the retry prime included.
+    for primes in ((4,), (2147483647, 4), (2147483647, 2**31 + 11)):
+        with pytest.raises(ValueError):
+            SweepConfig(primes=primes)
+
+
+def test_public_names_resolve():
+    import leflab
+
+    for name in leflab.__all__:
+        assert hasattr(leflab, name), name
 
 
 def test_empty_explicit_specs_give_empty_report():

@@ -4,6 +4,7 @@ import pytest
 from leflab.linsys import (
     PlaneSystem,
     StepNotApplicable,
+    _conditions_rank,
     ah_double_dim,
     bezout_step,
     binom,
@@ -14,7 +15,9 @@ from leflab.linsys import (
     is_standard_form,
     system_dim,
 )
+from leflab.modp import DenseMatrix, PrimeField, matrix_rank
 from leflab.oracle import ExponentSpec
+from leflab.polyring import monomial_basis
 
 
 def test_normalization():
@@ -81,6 +84,57 @@ def test_fatpoint_dim_exceptional_cases():
     assert fatpoint_dim(PlaneSystem(4, (2,) * 5)) == 1
     assert fatpoint_dim(PlaneSystem(2, (2, 2))) == 1
     assert fatpoint_dim(PlaneSystem(5, (3, 3, 2))) == 6
+
+
+def scalar_conditions_rank(sys_, field, rng):
+    """The conditions matrix built one entry at a time, as a reference.
+
+    Draws the same points as `_conditions_rank` from the same generator.
+    """
+    d, p = sys_.degree, field.modulus
+    exps = monomial_basis(3, d).tolist()
+    rows, seen = [], set()
+    for mult in sys_.mults:
+        while True:
+            pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
+            if pt not in seen:
+                seen.add(pt)
+                break
+        x0, y0 = pt
+        order = min(mult, d + 1) - 1
+        for u in range(order + 1):
+            for v in range(order + 1 - u):
+                w = order - u - v
+                row = [0] * len(exps)
+                for idx, (a, b, c) in enumerate(exps):
+                    if a < u or b < v or c < w:
+                        continue
+                    coeff = 1
+                    for n, k in ((a, u), (b, v), (c, w)):
+                        for t in range(k):
+                            coeff = coeff * (n - t) % p
+                    row[idx] = coeff * pow(x0, a - u, p) * pow(y0, b - v, p) % p
+                rows.append(row)
+    return matrix_rank(DenseMatrix(field, rows)) if rows else 0
+
+
+@pytest.mark.parametrize("prime", [2147483647, 101])
+def test_conditions_rank_matches_scalar_reference(prime):
+    field = PrimeField(prime)
+    systems = [
+        PlaneSystem(4, (2,) * 5),  # Alexander-Hirschowitz exceptions
+        PlaneSystem(2, (2,) * 2),
+        PlaneSystem(6, (3, 3, 2, 2, 1)),
+        PlaneSystem(5, (7, 2)),  # clamped multiplicity
+        PlaneSystem(0, (1,)),
+        PlaneSystem(3),
+        PlaneSystem(9, (4, 4, 3, 3, 2, 2, 1, 1)),
+    ]
+    for seed, sys_ in enumerate(systems):
+        for trial in range(2):
+            rank = _conditions_rank(sys_, field, np.random.default_rng([seed, trial]))
+            assert rank == scalar_conditions_rank(sys_, field, np.random.default_rng([seed, trial])), sys_
+    assert _conditions_rank(PlaneSystem(4, (2,) * 5), field, np.random.default_rng(0)) == 14
 
 
 def test_fatpoint_dim_degenerate():

@@ -27,7 +27,7 @@ from leflab.oracle import (
 )
 from leflab.linsys import binom, dual_system, system_dim
 from leflab.polyring import LinearFormRep
-from leflab.theory import injectivity_certificate, peak_degree
+from leflab.theory import classify_cube, peak_degree, slp_verdict
 
 
 def ci_hilbert(exponents):
@@ -260,6 +260,19 @@ def test_peak_equals_regularity_of_linear_quotient():
         assert regularity(sample.adjoin_form(form, 1)) == peak_degree(spec)
 
 
+def injectivity_certificate(spec, k, j):
+    """Quotient dimension that certifies injectivity of a k-th-power map.
+
+    If the degree-j piece of the quotient by the ideal with a general k-th
+    power adjoined has exactly this dimension, multiplication by that power
+    into degree j is injective.  Needs k >= 1 and j >= max(k, largest exponent).
+    """
+    head = j * k + 1 - binom(k - 1, 2)
+    low = sum(k * (j - a) + 1 - binom(k - 1, 2) for a in spec.exponents if a <= j - k)
+    high = sum(binom(j - a + 2, 2) for a in spec.exponents if a > j - k)
+    return head - low - high
+
+
 def test_injectivity_certificate_matches_oracle():
     # Wherever the adjoined quotient dimension equals the certificate value,
     # the rank report must show an injective map.
@@ -301,10 +314,13 @@ def test_certificate_known_values():
 
 
 def test_exchange_property_on_oracle_data():
-    # When the oracle certifies both hypotheses of the exchange implication,
-    # it must certify the conclusion.
-    from leflab.theory import EXCHANGE_CONCLUSION, ExchangeFacts, exchange_implication
-
+    # When the oracle certifies the hypotheses of either variant of the
+    # exchange property, it must certify the conclusion: multiplication by
+    # the b-th power has maximal rank on the quotient by the k-th power.
+    # Variant (a): the base has the WLP, b >= k, and the k-th-power map has
+    # maximal rank on the base and on the quotient by the b-th power.
+    # Variant (b): the k-th-power map has maximal rank on the quotient by the
+    # b-th power and the b-th-power map has maximal rank on the base.
     cases = [((3, 3, 3, 3), 4, 2), ((2, 3, 4), 3, 1), ((4, 4, 4, 4), 5, 3)]
     fired = 0
     for exps, b, k in cases:
@@ -312,15 +328,13 @@ def test_exchange_property_on_oracle_data():
         base = sample_ideal(spec, seed=3)
         ell = random_form(base.field, 3, np.random.default_rng(1))
         big_l = random_form(base.field, 3, np.random.default_rng(2))
-        facts = ExchangeFacts(
-            b=b,
-            k=k,
-            wlp_base=lefschetz_scan(base, 1) == [],
-            power_k_max_on_base=lefschetz_scan(base, k) == [],
-            power_k_max_on_quotient_by_b=lefschetz_scan(base.adjoin_form(big_l, b), k) == [],
-            power_b_max_on_base=lefschetz_scan(base, b) == [],
-        )
-        if exchange_implication(facts) is EXCHANGE_CONCLUSION:
+        wlp_base = lefschetz_scan(base, 1) == []
+        power_k_max_on_base = lefschetz_scan(base, k) == []
+        power_k_max_on_quotient_by_b = lefschetz_scan(base.adjoin_form(big_l, b), k) == []
+        power_b_max_on_base = lefschetz_scan(base, b) == []
+        variant_a = wlp_base and b >= k and power_k_max_on_base and power_k_max_on_quotient_by_b
+        variant_b = power_k_max_on_quotient_by_b and power_b_max_on_base
+        if variant_a or variant_b:
             fired += 1
             assert lefschetz_scan(base.adjoin_form(ell, k), b) == []
     assert fired > 0
@@ -338,8 +352,6 @@ def test_cube_quotient_failing_powers_match_per_power_checks():
     # whose multiplication misses maximal rank is b=5, in degree 6, by one --
     # the same degree the per-power classification pins for the adjoined
     # exponent 5.  This exercises the exchange correspondence end to end.
-    from leflab.theory import slp_after_cube_quotient
-
     spec = ExponentSpec(3, (5,) * 5)
     sample = sample_ideal(spec)
     ell = random_form(sample.field, 3, np.random.default_rng(42))
@@ -350,9 +362,9 @@ def test_cube_quotient_failing_powers_match_per_power_checks():
         if failures:
             observed[b] = failures
     assert observed == {5: [(6, 1)]}
-    report = slp_after_cube_quotient(spec)
-    assert not report.has_slp
-    predicted = {b: list(v.failing_degrees) for b, v in report.checks if v.failures}
+    answer = slp_verdict(spec.adjoin(3))
+    assert answer.rule == "cube-quotient" and answer.verdict.failing_degrees == (6,)
+    predicted = {b: list(v.failing_degrees) for b, v in answer.checks if v.failures}
     assert predicted == {5: [6]}
 
 
@@ -371,13 +383,10 @@ def test_results_stable_across_primes():
 def test_large_uniform_cube_case():
     # Well past the acceptance sweep range: s=10 copies of t=18 fail exactly
     # at degree 20 = s*t/(s-1).
-    from leflab.theory import classify_cube_uniform
-
     spec = ExponentSpec(3, (18,) * 10)
     sample = sample_ideal(spec)
     assert lefschetz_scan(sample, 3, trials=2) == [(20, 1)]
-    verdict = classify_cube_uniform(10, 18)
-    assert verdict.failing_degrees == (20,)
+    assert classify_cube(spec).failing_degrees == (10 * 18 // 9,)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,22 +4,14 @@ from hypothesis import strategies as st
 
 from leflab.oracle import ExponentSpec, NonArtinianError
 from leflab.theory import (
-    EXCHANGE_CONCLUSION,
     FAILS,
     MAXIMAL,
-    ExchangeFacts,
     classify_cube,
-    classify_cube_uniform,
     classify_square,
-    exchange_implication,
-    exponent_counts,
     failing_powers_after_cube,
-    injectivity_certificate,
     line_condition_sum,
     peak_degree,
-    peak_degree_uniform,
-    slp_after_cube_quotient,
-    slp_after_cube_quotient_uniform,
+    slp_verdict,
     slp_with_square_generator,
     verdict_for,
     wlp_cube_uniform_4vars,
@@ -29,30 +21,33 @@ from leflab.theory import (
 exponent_lists = st.lists(st.integers(min_value=1, max_value=25), min_size=2, max_size=9)
 
 
-def test_exponent_counts_examples():
-    c = exponent_counts(ExponentSpec(3, (2, 3, 4, 5, 6)), 6)
-    assert c.at(2) == 1 and c.at(4) == 3 and c.at(6) == 5
-    c = exponent_counts(ExponentSpec(3, (5,) * 6), 6)
-    assert c.at(4) == 0 and c.at(5) == 6
-    assert c.at(100) == 6  # saturates at s once all exponents are counted
-    assert c.at(-1) == 0
+def count_at_most(spec, j):
+    """The counting vector of the exponents: how many are at most j."""
+    return sum(1 for a in spec.exponents if a <= j)
+
+
+def count_partial_sum(spec, j):
+    return sum(count_at_most(spec, i) for i in range(j + 1))
+
+
+def uniform_peak(s, t):
+    """The peak degree of s copies of t in closed form."""
+    return t - 1 if s >= t + 1 else s * (t - 1) // (s - 1)
 
 
 @given(exponent_lists, st.integers(min_value=0, max_value=40))
 def test_condition_sum_equals_count_partial_sum(exps, j):
     spec = ExponentSpec(3, tuple(exps))
-    counts = exponent_counts(spec, j)
-    assert line_condition_sum(spec, j) == counts.partial_sum(j)
+    assert line_condition_sum(spec, j) == count_partial_sum(spec, j)
 
 
 @given(exponent_lists)
 def test_peak_degree_defining_inequalities(exps):
     spec = ExponentSpec(3, tuple(exps))
     p = peak_degree(spec)
-    counts = exponent_counts(spec, p + 1)
-    assert counts.partial_sum(p) <= p
-    assert counts.partial_sum(p + 1) >= p + 2
-    assert counts.at(p + 1) > 0
+    assert count_partial_sum(spec, p) <= p
+    assert count_partial_sum(spec, p + 1) >= p + 2
+    assert count_at_most(spec, p + 1) > 0
 
 
 @given(exponent_lists, st.integers(min_value=1, max_value=25))
@@ -65,8 +60,7 @@ def test_peak_can_only_drop_when_adjoining(exps, b):
 def test_peak_stable_when_low_counts_vanish(exps, b):
     spec = ExponentSpec(3, tuple(exps))
     p = peak_degree(spec)
-    counts = exponent_counts(spec, max(p, 0))
-    if p >= 2 and counts.at(p - 1) == 0 and counts.at(p) <= 1:
+    if p >= 2 and count_at_most(spec, p - 1) == 0 and count_at_most(spec, p) <= 1:
         assert peak_degree(spec.adjoin(b)) == p
 
 
@@ -79,23 +73,16 @@ def test_peak_degree_examples():
 
 
 def test_peak_degree_uniform_examples():
-    assert peak_degree_uniform(6, 5) == 4
-    assert peak_degree_uniform(4, 6) == 6
-    assert peak_degree_uniform(4, 3) == 2
+    assert peak_degree(ExponentSpec(3, (5,) * 6)) == 4
+    assert peak_degree(ExponentSpec(3, (6,) * 4)) == 6
+    assert peak_degree(ExponentSpec(3, (3,) * 4)) == 2
 
 
 def test_peak_degree_uniform_agrees_with_general():
+    # s copies of t peak at t-1 if s >= t+1, else at floor(s(t-1)/(s-1)).
     for s in range(2, 31):
         for t in range(1, 31):
-            assert peak_degree_uniform(s, t) == peak_degree(ExponentSpec(3, (t,) * s))
-
-
-def test_injectivity_certificate_examples():
-    assert injectivity_certificate(ExponentSpec(3, (3, 3, 3, 3)), 3, 4) == 0
-    assert injectivity_certificate(ExponentSpec(3, (2, 2, 2)), 2, 2) == 2
-    assert injectivity_certificate(ExponentSpec(3, (3,)), 3, 4) == 9
-    with pytest.raises(ValueError):
-        injectivity_certificate(ExponentSpec(3, (3, 3)), 2, 2)
+            assert peak_degree(ExponentSpec(3, (t,) * s)) == uniform_peak(s, t), (s, t)
 
 
 def test_classify_square_always_maximal():
@@ -141,23 +128,31 @@ def test_classify_cube_never_fails_right_after_peak():
         assert p + 1 not in v.failing_degrees
 
 
+def uniform_cube(s, t):
+    return classify_cube(ExponentSpec(3, (t,) * s))
+
+
 def test_classify_cube_uniform_examples():
-    v = classify_cube_uniform(6, 5)
+    v = uniform_cube(6, 5)
     assert v.status == FAILS and v.failing_degrees == (6,)
-    assert classify_cube_uniform(4, 4).status == MAXIMAL
+    assert uniform_cube(4, 4).status == MAXIMAL
     for t in range(1, 20):
-        assert classify_cube_uniform(5, t).status == MAXIMAL
+        assert uniform_cube(5, t).status == MAXIMAL
 
 
 def test_classify_cube_uniform_agrees_with_general():
-    for s in range(2, 13):
+    # s copies of t fail iff s >= 4 is even and s-1 divides t, in the single
+    # degree st/(s-1), with equal dimensions in degrees st/(s-1) - 3 and st/(s-1).
+    for s in range(3, 13):
         for t in range(1, 31):
-            uniform = classify_cube_uniform(s, t)
-            general = classify_cube(ExponentSpec(3, (t,) * s)) if s >= 3 else None
-            if general is None:
-                continue
-            assert uniform.status == general.status, (s, t)
-            assert uniform.failing_degrees == general.failing_degrees, (s, t)
+            v = uniform_cube(s, t)
+            if s >= 4 and s % 2 == 0 and t % (s - 1) == 0:
+                j = s * t // (s - 1)
+                assert v.status == FAILS and v.failing_degrees == (j,), (s, t)
+                assert v.witness["peak"] == uniform_peak(s, t), (s, t)
+                assert (v.witness["equal_dims_low"], v.witness["equal_dims_high"]) == (j - 3, j), (s, t)
+            else:
+                assert v.status == MAXIMAL and v.failing_degrees == (), (s, t)
 
 
 def test_slp_with_square_generator():
@@ -176,29 +171,39 @@ def test_wlp_with_square_generator_4vars():
         wlp_with_square_generator_4vars(ExponentSpec(4, (3, 3, 3, 3)))
 
 
+def cube_quotient(s, t):
+    """The SLP answer for a cube plus s copies of t."""
+    answer = slp_verdict(ExponentSpec(3, (3,) + (t,) * s))
+    assert answer.rule == "cube-quotient"
+    return answer
+
+
 def test_slp_after_cube_quotient():
-    report = slp_after_cube_quotient(ExponentSpec(3, (5,) * 5))
-    assert not report.has_slp
-    failing = [(b, v) for b, v in report.checks if v.status == FAILS]
+    answer = cube_quotient(5, 5)
+    assert answer.verdict.status == FAILS
+    failing = [(b, v) for b, v in answer.checks if v.status == FAILS]
     assert len(failing) == 1
     b, v = failing[0]
     assert b == 5 and v.failing_degrees == (6,)
 
-    assert slp_after_cube_quotient(ExponentSpec(3, (4,) * 4)).has_slp
-    assert slp_after_cube_quotient(ExponentSpec(3, (4,) * 5)).has_slp
+    assert cube_quotient(4, 4).verdict.status == MAXIMAL
+    assert cube_quotient(5, 4).verdict.status == MAXIMAL
 
 
 def test_slp_after_cube_quotient_uniform():
-    assert not slp_after_cube_quotient_uniform(5, 5)
-    assert slp_after_cube_quotient_uniform(5, 4)
-    assert slp_after_cube_quotient_uniform(4, 100)
+    assert cube_quotient(5, 5).verdict.status == FAILS
+    assert cube_quotient(5, 4).verdict.status == MAXIMAL
+    assert cube_quotient(4, 100).verdict.status == MAXIMAL
 
 
 def test_slp_uniform_agrees_with_per_power_checks():
+    # The cube quotient of s copies of t has the SLP iff not (s odd and t >= s).
     for s in range(3, 9):
         for t in range(3, 12):
-            report = slp_after_cube_quotient(ExponentSpec(3, (t,) * s))
-            assert report.has_slp == slp_after_cube_quotient_uniform(s, t), (s, t)
+            answer = cube_quotient(s, t)
+            has_slp = all(v.status == MAXIMAL for _, v in answer.checks)
+            assert (answer.verdict.status == MAXIMAL) == has_slp, (s, t)
+            assert has_slp == (not (s % 2 == 1 and t >= s)), (s, t)
 
 
 def test_failing_powers_after_cube():
@@ -221,26 +226,6 @@ def test_wlp_cube_uniform_4vars():
     assert v.status == FAILS and v.failing_degrees == (6,)
     with pytest.raises(ValueError):
         wlp_cube_uniform_4vars(3, 5)
-
-
-def test_exchange_implication():
-    base = dict(b=4, k=2)
-    variant_b = ExchangeFacts(**base, power_k_max_on_quotient_by_b=True, power_b_max_on_base=True)
-    assert exchange_implication(variant_b) == EXCHANGE_CONCLUSION
-
-    variant_a = ExchangeFacts(
-        **base, wlp_base=True, power_k_max_on_base=True, power_k_max_on_quotient_by_b=True
-    )
-    assert exchange_implication(variant_a) == EXCHANGE_CONCLUSION
-
-    # b < k disables variant (a).
-    small_b = ExchangeFacts(
-        b=1, k=2, wlp_base=True, power_k_max_on_base=True, power_k_max_on_quotient_by_b=True
-    )
-    assert exchange_implication(small_b) is None
-
-    partial = ExchangeFacts(**base, power_k_max_on_quotient_by_b=True)
-    assert exchange_implication(partial) is None
 
 
 def test_verdict_validation():
