@@ -5,14 +5,17 @@ ranks) reduces to the rank of a dense matrix over F_p.  The modulus defaults
 to the Mersenne prime 2^31 - 1 so that a product of two reduced entries fits
 comfortably in int64 and no multiprecision arithmetic is ever needed.
 
-`_echelon` is the one elimination kernel.  Matrices of at most SMALL_CELLS
-cells (100) are eliminated on lists of Python ints, where numpy's per-call
-overhead would dominate; larger ones with numpy row operations.  Both paths
-pick the first nonzero entry at or below the current row as the pivot and
-invert it with `pow(x, -1, p)`, so they return the same rows and pivots.
-The limit is the measured crossover of the two paths (see SMALL_CELLS).
-`all_minors_nonzero`, the general-position test of the oracle's samples,
-runs the list path on each minor.
+`_echelon` is the one elimination kernel, and it has one mode: a plain row
+echelon form with unit pivots, which gives ranks (`matrix_rank`) and, taken
+pivot by pivot, normal forms (`row_echelon`, `reduce_rows`).  Matrices of
+at most SMALL_CELLS cells (100) are eliminated on lists of Python ints,
+where numpy's per-call overhead would dominate; larger ones with numpy row
+operations.  Both paths pick the first nonzero entry at or below the
+current row as the pivot and invert it with `pow(x, -1, p)`, so they
+return the same rows and pivots.  The limit is the measured crossover of
+the two paths (see SMALL_CELLS).  `all_minors_nonzero`, the
+general-position test of the oracle's samples, eliminates nothing: it
+expands each minor along its first row into the minors one size smaller.
 """
 
 from __future__ import annotations
@@ -112,10 +115,6 @@ class DenseMatrix:
         m.entries = arr
         return m
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "DenseMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
 
 # The crossover of the two `_echelon` paths, timed on one core of a 2-vCPU
 # x86-64 host (Python 3.11, numpy 2.4, p = DEFAULT_PRIME).  On dense random
@@ -127,12 +126,10 @@ class DenseMatrix:
 SMALL_CELLS = 100
 
 
-def _echelon_lists(a: list[list[int]], p: int, reduced: bool = False) -> list[int]:
-    """`_echelon` in place on lists of Python ints; returns the pivots.
-
-    The first len(pivots) rows end as the echelon rows and the rest as zeros.
-    """
-    m, n = len(a), len(a[0]) if a else 0
+def _echelon_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`_echelon` on lists of Python ints: no per-operation numpy dispatch."""
+    a = arr.tolist()
+    m, n = arr.shape
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -147,23 +144,16 @@ def _echelon_lists(a: list[list[int]], p: int, reduced: bool = False) -> list[in
             a[r], a[i] = a[i], a[r]
         inv = pow(a[r][c], -1, p)
         piv = a[r][c:] = [x * inv % p for x in a[r][c:]]
-        for i in range(0 if reduced else r + 1, m):
+        for i in range(r + 1, m):
             f = a[i][c]
-            if f and i != r:
+            if f:
                 a[i][c:] = [(x - f * y) % p for x, y in zip(a[i][c:], piv)]
         pivots.append(c)
         r += 1
-    return pivots
+    return np.array(a[:r], dtype=np.int64).reshape(r, n), pivots
 
 
-def _echelon_small(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """`_echelon` on lists of Python ints: no per-operation numpy dispatch."""
-    a = arr.tolist()
-    pivots = _echelon_lists(a, p, reduced)
-    return np.array(a[: len(pivots)], dtype=np.int64).reshape(len(pivots), arr.shape[1]), pivots
-
-
-def _echelon_large(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """`_echelon` with numpy row operations, one pivot at a time."""
     a = np.array(arr, dtype=np.int64)
     m, n = a.shape
@@ -180,10 +170,7 @@ def _echelon_large(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.n
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = a[r, c:] * inv % p
-        lo = 0 if reduced else r + 1
-        rows = lo + np.flatnonzero(a[lo:, c])
-        if reduced:
-            rows = rows[rows != r]
+        rows = r + 1 + np.flatnonzero(a[r + 1:, c])
         if rows.size:
             a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:]) % p
         pivots.append(c)
@@ -191,37 +178,33 @@ def _echelon_large(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.n
     return a[:r], pivots
 
 
-def _echelon(arr: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Row echelon form of `arr` (entries in [0, p)) with unit pivots, and its pivots.
 
     Gaussian elimination on a copy; the pivot of each column is the first
     nonzero entry at or below the current row, so both paths return the same
-    rows.  With `reduced` each pivot also clears its column above it
-    (Gauss-Jordan), which gives the reduced row echelon form.
+    rows.  Empty shapes give no rows and no pivots.
     """
     if arr.size <= SMALL_CELLS:
-        return _echelon_small(arr, p, reduced)
-    return _echelon_large(arr, p, reduced)
+        return _echelon_small(arr, p)
+    return _echelon_large(arr, p)
 
 
 def matrix_rank(m: DenseMatrix) -> int:
     """Rank over the prime field; deterministic, empty matrices allowed."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _echelon(m.entries, m.field.modulus)
-    return len(pivots)
+    return len(_echelon(m.entries, m.field.modulus)[1])
 
 
 def row_echelon(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
-    """Row echelon form with unit pivots, plus the pivot column positions.
+    """Row echelon form with unit pivots, plus the pivot columns in increasing order.
 
     The returned matrix has one row per pivot; its row space equals the row
-    space of the input.  Each pivot column is zero outside its pivot row, so
-    that reduce_rows below only has to subtract one multiple per pivot.
+    space of the input.  Each row is zero left of its pivot, so reduce_rows
+    below, taking pivots in increasing order, never refills a cleared pivot
+    column: one multiple per pivot gives the normal form that is zero at
+    every pivot, and that form is unique.
     """
-    if m.rows == 0 or m.cols == 0:
-        return DenseMatrix.zeros(m.field, 0, m.cols), ()
-    ech, pivots = _echelon(m.entries, m.field.modulus, reduced=True)
+    ech, pivots = _echelon(m.entries, m.field.modulus)
     return DenseMatrix.from_reduced(m.field, ech), tuple(pivots)
 
 
@@ -246,12 +229,21 @@ def all_minors_nonzero(rows: Sequence[Sequence[int]], p: int) -> bool:
     every square minor of B is nonzero: the columns S of I_r and T of B
     have the determinant of B on the rows outside S and the columns T, up
     to sign.  Minors are tested from 1x1 up, so a zero entry ends at once.
+    Each t x t minor is expanded along its first row into the (t-1)-minors
+    kept from the size before; nothing is eliminated.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    minors = {((), ()): 1}
     for t in range(1, min(m, n) + 1):
+        prev, minors = minors, {}
         for rs in combinations(range(m), t):
+            top, below = rows[rs[0]], rs[1:]
             for cs in combinations(range(n), t):
-                if len(_echelon_lists([[rows[i][j] for j in cs] for i in rs], p)) < t:
+                det = sum(
+                    (-1) ** i * top[c] * prev[below, cs[:i] + cs[i + 1:]] for i, c in enumerate(cs)
+                ) % p
+                if not det:
                     return False
+                minors[rs, cs] = det
     return True

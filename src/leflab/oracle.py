@@ -147,12 +147,12 @@ def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> L
 
 
 def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) -> IdealSample:
-    """Draw the linear forms for `spec`, resampling until any r of them are independent."""
+    """Draw forms for `spec`, seeded by `seed` and the spec, until any r of them are independent."""
     field = PrimeField(prime)
     bound = 2 * (max(spec.exponents) + spec.s + 10)
     if prime <= bound:
         raise PrimeTooSmallError(f"prime {prime} too small; need > {bound}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, spec.num_vars, *spec.exponents])
     while True:
         forms = tuple(random_form(field, spec.num_vars, rng) for _ in range(spec.s))
         sample = IdealSample(spec, forms, field, seed)
@@ -321,7 +321,10 @@ def regularity(sample: IdealSample) -> int:
 
 
 def _trial_rng(sample: IdealSample, k: int, j: int) -> np.random.Generator:
-    return np.random.default_rng([sample.seed, sample.field.modulus, k, j, 0x1EF1AB])
+    spec = sample.spec
+    return np.random.default_rng(
+        [sample.seed, sample.field.modulus, spec.num_vars, *spec.exponents, k, j, 0x1EF1AB]
+    )
 
 
 def rank_with_form(sample: IdealSample, form: LinearFormRep, k: int, j: int) -> int:

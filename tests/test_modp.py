@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leflab.modp import (
@@ -30,7 +32,7 @@ def test_rejects_composite_modulus():
 
 def test_rank_zero_matrix():
     f = PrimeField()
-    m = DenseMatrix.zeros(f, 3, 3)
+    m = DenseMatrix(f, np.zeros((3, 3), dtype=np.int64))
     assert matrix_rank(m) == 0
     assert m.cols - matrix_rank(m) == 3
 
@@ -51,8 +53,11 @@ def test_rank_proportional_rows():
 
 def test_rank_empty_shapes():
     f = PrimeField()
-    assert matrix_rank(DenseMatrix(f, np.zeros((0, 5), dtype=np.int64))) == 0
-    assert matrix_rank(DenseMatrix(f, np.zeros((5, 0), dtype=np.int64))) == 0
+    for shape in ((0, 5), (5, 0), (0, 0), (0, 200), (200, 0)):
+        m = DenseMatrix(f, np.zeros(shape, dtype=np.int64))
+        assert matrix_rank(m) == 0
+        ech, pivots = row_echelon(m)
+        assert ech.entries.shape == (0, shape[1]) and pivots == ()
 
 
 def test_entries_reduced_and_immutable():
@@ -115,12 +120,12 @@ def test_row_echelon_reduction_normal_form():
     assert outside[0, 0] == 0 and outside[0, 2] == 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_small_and_large_paths_agree(data):
-    # Shapes on both sides of SMALL_CELLS; rows drawn from a span of chosen
-    # rank, then sparsified and given zero rows and zero columns, so pivots
-    # are skipped, swapped and missing.
+def draw_matrix(data):
+    """A prime and a matrix over it, with shapes on both sides of SMALL_CELLS.
+
+    Rows are drawn from a span of chosen rank, then sparsified and given zero
+    rows and zero columns, so pivots are skipped, swapped and missing.
+    """
     p = data.draw(st.sampled_from((7, 101, DEFAULT_PRIME)), label="p")
     rows = data.draw(st.integers(1, 14), label="rows")
     fit = SMALL_CELLS // rows
@@ -137,21 +142,63 @@ def test_small_and_large_paths_agree(data):
     arr = np.asarray(arr, dtype=np.int64)
     arr[rng.random(rows) < 0.2, :] = 0
     arr[:, rng.random(cols) < 0.2] = 0
-    m = DenseMatrix(PrimeField(p), arr)
-    for reduced in (False, True):
-        small_rows, pivots = _echelon_small(m.entries, p, reduced)
-        large_rows, large_pivots = _echelon_large(m.entries, p, reduced)
-        assert pivots == large_pivots
-        assert small_rows.shape == large_rows.shape == (len(pivots), cols)
-        assert np.array_equal(small_rows, large_rows)
-        assert (small_rows[range(len(pivots)), pivots] == 1).all()
+    return DenseMatrix(PrimeField(p), arr), rank, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_small_and_large_paths_agree(data):
+    m, rank, _ = draw_matrix(data)
+    p = m.field.modulus
+    small_rows, pivots = _echelon_small(m.entries, p)
+    large_rows, large_pivots = _echelon_large(m.entries, p)
+    assert pivots == large_pivots
+    assert small_rows.shape == large_rows.shape == (len(pivots), m.cols)
+    assert np.array_equal(small_rows, large_rows)
     assert len(pivots) <= rank
-    # The reduced form, left by the last pass: unit vectors in pivot columns.
-    assert np.array_equal(small_rows[:, pivots], np.eye(len(pivots), dtype=np.int64))
+    # Echelon shape: unit pivots, increasing, with zeros left of each pivot
+    # in its row and below it in its column.
+    assert list(pivots) == sorted(set(pivots))
+    for k, c in enumerate(pivots):
+        assert small_rows[k, c] == 1
+        assert not small_rows[k, :c].any()
+        assert not small_rows[k + 1:, c].any()
     ech, ech_pivots = row_echelon(m)
     assert ech_pivots == tuple(pivots)
     assert np.array_equal(ech.entries, small_rows)
     assert matrix_rank(m) == len(pivots)
+
+
+def gauss_jordan_normal_form(ech, pivots, vectors, p):
+    """Reference normal forms: reduce the echelon fully, then one multiple per pivot."""
+    rref = ech.entries.tolist()
+    for k in reversed(range(len(pivots))):
+        for i in range(k):
+            f = rref[i][pivots[k]]
+            rref[i] = [(x - f * y) % p for x, y in zip(rref[i], rref[k])]
+    out = []
+    for v in vectors.tolist():
+        for row, c in zip(rref, pivots):
+            f = v[c]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+        out.append(v)
+    return np.array(out, dtype=np.int64).reshape(vectors.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normal_forms_match_gauss_jordan(data):
+    m, _, rng = draw_matrix(data)
+    p = m.field.modulus
+    ech, pivots = row_echelon(m)
+    # Vectors inside the row space and outside it, some with zero entries.
+    inside = (rng.integers(0, p, size=(3, m.rows)).astype(object) @ m.entries.astype(object)) % p
+    outside = rng.integers(0, p, size=(3, m.cols)) * (rng.random((3, m.cols)) < 0.5)
+    vectors = np.vstack([np.asarray(inside, dtype=np.int64), outside])
+    normal = reduce_rows(vectors, ech, pivots)
+    assert np.array_equal(normal, gauss_jordan_normal_form(ech, pivots, vectors, p))
+    assert not normal[:3].any()
+    assert not normal[:, list(pivots)].any()
 
 
 def test_all_minors_nonzero_checks_every_size():
@@ -168,3 +215,46 @@ def test_all_minors_nonzero_checks_every_size():
     )
     assert not all_minors_nonzero(rows, 11)
     assert all_minors_nonzero([row[:2] for row in rows], 11)
+
+
+def minors_nonzero_by_rank(rows, p):
+    """Reference: every square submatrix of `rows` has full rank."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    f = PrimeField(p)
+    return all(
+        matrix_rank(DenseMatrix(f, [[rows[i][j] for j in cs] for i in rs])) == t
+        for t in range(1, min(m, n) + 1)
+        for rs in combinations(range(m), t)
+        for cs in combinations(range(n), t)
+    )
+
+
+@st.composite
+def minor_cases(draw):
+    """A prime in {2, 3, 5, 7} and a matrix over it of at most 4x4, empty allowed."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4)) if m else 0
+    if draw(st.booleans()):
+        # Cauchy matrix 1/(x_i - y_j) on m + n distinct points: every minor is nonzero.
+        m = min(m, p)
+        n = min(n, p - m)
+        pts = draw(st.permutations(range(p)))
+        rows = [[pow(x - y, -1, p) for y in pts[m:m + n]] for x in pts[:m]]
+    else:
+        # Nonzero entries often, so that the larger minors are reached.
+        low = draw(st.sampled_from((0, 1)))
+        entries = st.lists(st.integers(low, p - 1), min_size=n, max_size=n)
+        rows = draw(st.lists(entries, min_size=m, max_size=m))
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, p - 1))
+    return p, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(minor_cases())
+@example((7, [[1, 5, 2, 5], [4, 4, 6, 2], [6, 4, 4, 5], [5, 2, 6, 5]]))
+def test_all_minors_nonzero_matches_ranks(case):
+    p, rows = case
+    assert all_minors_nonzero(rows, p) == minors_nonzero_by_rank(rows, p)

@@ -87,6 +87,23 @@ def test_sampling_is_deterministic():
     assert a.forms != c.forms
 
 
+def test_specs_draw_independent_samples():
+    # One seed, specs differing in an exponent or in the variable count; the
+    # leading coordinates are compared so a shared stream would show.
+    cubes = ExponentSpec(3, (3, 3, 3, 3))
+    specs = (cubes, ExponentSpec(3, (3, 3, 3, 4)), ExponentSpec(4, (3,) * 4))
+    samples = [sample_ideal(spec, seed=5) for spec in specs]
+    firsts = [sample.forms[0].coeffs[:3] for sample in samples]
+    assert len(set(firsts)) == 3
+    trials = [
+        random_form(sample.field, 3, oracle._trial_rng(sample, 2, 4)).coeffs[:3] for sample in samples
+    ]
+    assert len(set(trials)) == 3
+    again = sample_ideal(cubes, seed=5)
+    assert again.forms == samples[0].forms
+    assert random_form(again.field, 3, oracle._trial_rng(again, 2, 4)).coeffs == trials[0]
+
+
 def test_sampling_rejects_small_prime():
     with pytest.raises(PrimeTooSmallError):
         sample_ideal(ExponentSpec(3, (3, 3, 3)), prime=31)
