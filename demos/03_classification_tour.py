@@ -39,6 +39,6 @@ for b, verdict in answer.checks:
 
 print("\nWLP in four variables, one cube plus s copies of t:")
 for s, t in ((4, 3), (5, 6), (6, 5), (6, 7)):
-    verdict = theory.wlp_cube_uniform_4vars(s, t)
+    verdict = theory.slp_verdict(L.ExponentSpec(4, (3,) + (t,) * s)).verdict
     where = f" at degree {verdict.failing_degrees[0]}" if verdict.failures else ""
     print(f"  s={s}, t={t}: {verdict.status}{where}")

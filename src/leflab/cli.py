@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     _add_common(sub, "vars", "prime", "seed", "trials")
 
-    sub = subs.add_parser("classify", help="closed-form verdict for k in {1,2,3}, three variables")
+    sub = subs.add_parser("classify", help="closed-form verdict for L^k: k in {1,2,3} in three variables, k = 1 in four")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
     sub.add_argument("--k", type=int, choices=(1, 2, 3), required=True)
     _add_common(sub, "vars")
@@ -153,9 +153,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.vars != 3:
-        raise ValueError("classify covers three variables; see `slp` for four")
-    verdict = theory.verdict_for(ExponentSpec(3, args.powers), args.k)
+    verdict = theory.verdict_for(ExponentSpec(args.vars, args.powers), args.k)
     print(_dumps({"status": verdict.status, "degrees": list(verdict.failing_degrees)}))
     return 0
 
@@ -254,7 +252,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "prime" in vars(args) and args.prime is None:
             args.prime = _default_prime()
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        # A type error raised outside argparse, like verify's --specs parts.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

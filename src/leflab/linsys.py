@@ -12,6 +12,7 @@ prime field serves as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb, perm
 from typing import Optional
 
@@ -157,7 +158,10 @@ def fatpoint_dim(
     if prime <= 2 * sys.degree:
         raise PrimeTooSmallError(f"prime {prime} too small for degree {sys.degree}")
     field = PrimeField(prime)
-    rng = np.random.default_rng([seed, prime, sys.degree, len(sys.mults), 0xFA7])
+    # The multiplicities go in as (multiplicity, count) pairs: systems that
+    # differ only in them draw different points, and the seed stays short.
+    runs = [x for m, group in groupby(sys.mults) for x in (m, sum(1 for _ in group))]
+    rng = np.random.default_rng([seed, prime, sys.degree, *runs, 0xFA7])
     n_mono = binom(sys.degree + 2, 2)
     best = None
     for _ in range(trials):

@@ -156,7 +156,7 @@ def test_criterion_08_four_variable_uniform_wlp():
             spec = L.ExponentSpec(4, (3,) + (t,) * s)
             sample = L.sample_ideal(spec)
             observed = L.lefschetz_scan(sample, 1, trials=2)
-            verdict = theory.wlp_cube_uniform_4vars(s, t)
+            verdict = theory.verdict_for(spec, 1)
             predicted = [(f.degree, 1) for f in verdict.failures]
             if observed != predicted:
                 bad.append((s, t, observed, predicted))

@@ -86,6 +86,19 @@ def test_slp_four_vars(capsys):
     code, out, _ = run_cli(capsys, "slp", "--vars", "4", "--powers", "2,9,9,9,9")
     doc = json.loads(out)
     assert doc["status"] == "maximal-everywhere"
+    # A cube with unequal other powers: the WLP by exchange with three variables.
+    code, out, _ = run_cli(capsys, "slp", "--vars", "4", "--powers", "3,4,5,5,5")
+    assert code == 0
+    assert out == '{"property":"WLP","status":"maximal-everywhere","degrees":[],"rule":"cube-generator"}\n'
+    code, out, _ = run_cli(capsys, "slp", "--vars", "4", "--powers", "3,3,3,3,3,5")
+    assert code == 0
+    assert out == '{"property":"WLP","status":"fails","degrees":[4],"rule":"cube-generator"}\n'
+
+
+def test_classify_four_vars_output_exact(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--vars", "4", "--powers", "3,3,3,3,3", "--k", "1")
+    assert code == 0
+    assert out == '{"status":"fails","degrees":[4]}\n'
 
 
 def test_verify_json_and_exit_zero(capsys):
@@ -172,6 +185,9 @@ def test_usage_errors_exit_two(capsys):
     # A bad retry prime is refused before the sweep, even with no retry due.
     code, out, err = run_cli(capsys, "verify", "--specs", "3,3,3,3", "--second-prime", "4")
     assert (code, out, err) == (2, "", "error: modulus 4 is not prime\n")
+    # A malformed --specs part is a usage error, like a malformed --powers.
+    code, out, err = run_cli(capsys, "verify", "--specs", "3,a,3,3")
+    assert (code, out, err) == (2, "", "error: expected a comma-separated integer list: '3,a,3,3'\n")
     # linsys refuses zero trials like rank, scan and verify.
     code, out, err = run_cli(capsys, "linsys", "--degree", "6", "--mults", "3,3,3,3,3,3,3", "--trials", "0")
     assert (code, out, err) == (2, "", "error: need trials >= 1\n")
@@ -285,14 +301,19 @@ def test_cli_answers_match_verdict_for(capsys):
 
     four = [(2,) + (t,) * 4 for t in range(2, 6)]
     four += [(3,) + (t,) * s for s in range(4, 7) for t in range(3, 6)]
-    rows = _verify_theory_fail(capsys, 4, 1, four)
-    for exps in four:
+    other_cubes = [(3, 3, 3, 3), (3, 4, 4, 4), (3, 4, 5, 5, 5), (3, 3, 3, 3, 3, 5)]
+    rows = _verify_theory_fail(capsys, 4, 1, four + other_cubes)
+    for exps in four + other_cubes:
         verdict = theory.verdict_for(ExponentSpec(4, exps), 1)
-        code, out, _ = run_cli(capsys, "slp", "--vars", "4", "--powers", ",".join(map(str, exps)))
+        powers = ",".join(map(str, exps))
+        code, out, _ = run_cli(capsys, "slp", "--vars", "4", "--powers", powers)
         assert code == 0
         doc = json.loads(out)
         assert (doc["status"], doc["degrees"]) == (verdict.status, list(verdict.failing_degrees))
-        assert doc["rule"] == ("square-generator" if exps[0] == 2 else "cube-uniform")
+        rule = "square-generator" if exps[0] == 2 else "cube-uniform" if exps in four else "cube-generator"
+        assert doc["rule"] == rule
+        code, out, _ = run_cli(capsys, "classify", "--vars", "4", "--powers", powers, "--k", "1")
+        assert (code, json.loads(out)) == (0, {"status": doc["status"], "degrees": doc["degrees"]})
         assert rows[exps] == [[f.degree, f.deficiency] for f in verdict.failures]
 
 

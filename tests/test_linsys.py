@@ -164,6 +164,22 @@ def test_zero_trials_refused():
             call()
 
 
+def test_fatpoint_dim_seeds_by_multiplicities(monkeypatch):
+    # Two systems of one degree and point count draw different points.
+    from leflab import linsys
+
+    states = []
+
+    def spy(sys, field, rng):
+        states.append(rng.bit_generator.state["state"])
+        return _conditions_rank(sys, field, rng)
+
+    monkeypatch.setattr(linsys, "_conditions_rank", spy)
+    for mults in ((3,) * 7, (4, 3, 3, 3, 3, 3, 2)):
+        fatpoint_dim(PlaneSystem(6, mults), trials=1)
+    assert len(states) == 2 and states[0] != states[1]
+
+
 def _random_system(rng) -> PlaneSystem:
     d = int(rng.integers(0, 11))
     n = int(rng.integers(0, 9))

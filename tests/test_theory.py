@@ -12,10 +12,8 @@ from leflab.theory import (
     line_condition_sum,
     peak_degree,
     slp_verdict,
-    slp_with_square_generator,
     verdict_for,
     wlp_cube_uniform_4vars,
-    wlp_with_square_generator_4vars,
 )
 
 exponent_lists = st.lists(st.integers(min_value=1, max_value=25), min_size=2, max_size=9)
@@ -156,19 +154,21 @@ def test_classify_cube_uniform_agrees_with_general():
 
 
 def test_slp_with_square_generator():
-    assert slp_with_square_generator(ExponentSpec(3, (2, 3, 4, 5))).status == MAXIMAL
-    assert slp_with_square_generator(ExponentSpec(3, (2, 2, 2))).status == MAXIMAL
-    assert slp_with_square_generator(ExponentSpec(3, (2, 7, 7, 7, 7))).status == MAXIMAL
-    with pytest.raises(ValueError):
-        slp_with_square_generator(ExponentSpec(3, (3, 3, 3)))
+    for exps in ((2, 3, 4, 5), (2, 2, 2), (2, 7, 7, 7, 7)):
+        answer = slp_verdict(ExponentSpec(3, exps))
+        assert (answer.rule, answer.verdict.status) == ("square-generator", MAXIMAL), exps
+    assert slp_verdict(ExponentSpec(3, (3, 3, 3))).rule == "complete-intersection"
 
 
 def test_wlp_with_square_generator_4vars():
-    assert wlp_with_square_generator_4vars(ExponentSpec(4, (2, 3, 3, 3))).status == MAXIMAL
-    assert wlp_with_square_generator_4vars(ExponentSpec(4, (2, 4, 4, 4, 4))).status == MAXIMAL
-    assert wlp_with_square_generator_4vars(ExponentSpec(4, (1, 9, 9, 9, 9))).status == MAXIMAL
-    with pytest.raises(ValueError):
-        wlp_with_square_generator_4vars(ExponentSpec(4, (3, 3, 3, 3)))
+    for exps in ((2, 3, 3, 3), (2, 4, 4, 4, 4), (1, 9, 9, 9, 9)):
+        spec = ExponentSpec(4, exps)
+        assert verdict_for(spec, 1).status == MAXIMAL, exps
+        answer = slp_verdict(spec)
+        assert (answer.property, answer.rule, answer.verdict) == ("WLP", "square-generator", verdict_for(spec, 1))
+    # Four cubes are a complete intersection: a cube generator, not a square.
+    answer = slp_verdict(ExponentSpec(4, (3, 3, 3, 3)))
+    assert (answer.rule, answer.verdict.status) == ("cube-generator", MAXIMAL)
 
 
 def cube_quotient(s, t):
@@ -228,6 +228,16 @@ def test_wlp_cube_uniform_4vars():
         wlp_cube_uniform_4vars(3, 5)
 
 
+def test_wlp_cube_uniform_4vars_is_verdict_for():
+    for s in range(4, 9):
+        for t in range(3, 21):
+            spec = ExponentSpec(4, (3,) + (t,) * s)
+            verdict = verdict_for(spec, 1)
+            assert verdict.failing_degrees == wlp_cube_uniform_4vars(s, t).failing_degrees, (s, t)
+            assert all(f.kernel_dim is None and f.cokernel_dim == 1 for f in verdict.failures), (s, t)
+            assert slp_verdict(spec).rule == "cube-uniform"
+
+
 def test_verdict_validation():
     from leflab.theory import DegreeFailure, Verdict
 
@@ -251,9 +261,11 @@ def test_verdict_for_dispatch():
     assert _failures(ExponentSpec(4, (3, 3, 3, 3, 3)), 1) == ((4, 1),)
     with pytest.raises(ValueError):
         verdict_for(ExponentSpec(3, (3, 3, 3, 3)), 4)
-    with pytest.raises(ValueError):
-        verdict_for(ExponentSpec(4, (4, 4, 4, 4)), 1)
-    # The four-variable cube result needs a cube and equal remaining powers.
-    for exps in ((4, 4, 4, 4, 4), (3, 4, 4, 4, 5), (3, 4, 4, 4)):
-        with pytest.raises(ValueError):
+    # A cube generator with any other powers, by exchange with three variables.
+    assert _failures(ExponentSpec(4, (3, 4, 4, 4, 5)), 1) == ()
+    assert _failures(ExponentSpec(4, (3, 4, 4, 4)), 1) == ()
+    assert _failures(ExponentSpec(4, (3, 3, 3, 3, 3, 5)), 1) == ((4, 1),)
+    # The exchange needs an artinian quotient and a generator of degree <= 3.
+    for exps in ((4, 4, 4, 4), (4, 4, 4, 4, 4), (3, 3, 3), (2, 5, 5)):
+        with pytest.raises(ValueError, match="no closed-form verdict"):
             verdict_for(ExponentSpec(4, exps), 1)
