@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("classify", help="closed-form verdict for L^k: k in {1,2,3} in three variables, k = 1 in four")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
-    sub.add_argument("--k", type=int, choices=(1, 2, 3), required=True)
+    sub.add_argument("--k", type=int, required=True)
     _add_common(sub, "vars")
 
     sub = subs.add_parser("slp", help="closed-form SLP (3 variables) or WLP (4 variables) verdict")

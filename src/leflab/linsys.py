@@ -200,20 +200,26 @@ def system_dim(
 ) -> tuple[int, ReductionTrace]:
     """Dimension of the system by reduction, with the step-by-step trace.
 
-    Loop order: terminal checks (empty, standard form, all double points,
-    a single heavy point), then strip general simple points, then Bezout,
-    then Cremona, re-sorting after every step.  Simple points only impose
-    conditions while the running system is nonempty, hence the floored
-    subtraction at the end.  A step cap guards against cycling; past it the
-    conditions-matrix oracle is used directly.
+    Loop order: terminal checks (empty, standard form, all double points),
+    then strip general simple points, then Bezout, then Cremona, re-sorting
+    after every step.  Simple points only impose conditions while the
+    running system is nonempty, hence the floored subtraction at the end.
+
+    Every system reaches a terminal.  Past the checks and the strip, d >= 0,
+    no point is simple and d < b1 + b2 + b3.  One point has b1 > d: the
+    `few-points` terminal, value 0.  Two or more with d < b1 + b2 take a
+    Bezout step.  Otherwise there are at least three points and
+    m = d - b1 - b2 - b3 < 0 <= d - b1 - b2 = b3 + m, so a Cremona step
+    applies.  Both steps lower the degree, and a strip happens at most once
+    between two of them, so the loop ends.  `prime`, `seed` and `trials` are
+    unused; they are kept for callers that pass them.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     steps: list[ReductionStep] = []
     stripped = 0
     cur = sys
-    cap = 10 * (max(sys.degree, 1) + sys.num_points + 1)
-    for _ in range(cap):
+    while True:
         if cur.degree < 0:
             steps.append(_terminal(cur, "empty", 0))
             break
@@ -235,19 +241,13 @@ def system_dim(
             steps.append(ReductionStep("bezout", cur, nxt))
             cur = nxt
             continue
-        m = cur.degree - (cur.top(0) + cur.top(1) + cur.top(2))
-        if cur.num_points >= 3 and m != 0 and all(cur.top(i) + m >= 0 for i in range(3)):
+        if cur.num_points >= 3:
             nxt = cremona_step(cur)
             steps.append(ReductionStep("cremona", cur, nxt))
             cur = nxt
             continue
-        if cur.num_points <= 2:
-            steps.append(_terminal(cur, "few-points", expected_dim(cur)))
-            break
-        steps.append(_terminal(cur, "oracle", fatpoint_dim(cur, prime, seed, trials)))
+        steps.append(_terminal(cur, "few-points", expected_dim(cur)))
         break
-    else:
-        steps.append(_terminal(cur, "oracle", fatpoint_dim(cur, prime, seed, trials)))
     value = max(0, steps[-1].value - stripped)
     return value, ReductionTrace(tuple(steps))
 

@@ -17,9 +17,12 @@ with l_m != 0 and the largest cap (a free one counts as largest) when k is
 below its cap, through the elementary change sending l to e_m, and the
 displaced power y_m^cap joins the remaining powers; otherwise L^k itself
 joins them.  `ci_frame` folds this step over the sample's forms from the
-identity frame.  `rank_with_form` makes one more step for a trial form,
-which gives the basis of smallest powers that `ci_frame` of the adjoined
-sample would pick, so the matrices stay as small.
+identity frame.
+A trial form is one more generator: the cokernel of multiplication by L^k on
+R/I is R/(I, L^k), so `rank_with_form` is a difference of two
+`ideal_piece_dim` values, of the sample and of the sample with L^k adjoined.
+Trial forms are drawn per (sample, k), not per degree, so a scan builds one
+frame per (k, trial) and reuses it in every degree.
 `sample_ideal` tests general position on its candidate's frame: any r of the
 forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
@@ -160,8 +163,9 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
             return sample
 
 
-# Bounded: a trial frame's exchanged forms are new for every trial form, while
-# the sample's own remaining forms recur in every degree and every trial.
+# Bounded: the remaining forms of a sample's frame recur in every degree, and
+# those of an adjoined trial sample in every degree of one scan; each trial
+# form brings new ones.
 @lru_cache(maxsize=256)
 def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
     vec = power_coords(field, form, power)
@@ -222,9 +226,9 @@ def _exchange(frame: CIFrame, form: LinearFormRep, k: int, p: int) -> CIFrame:
     return CIFrame(change, caps[:m] + (k,) + caps[m + 1 :], rest)
 
 
-# Bounded: in the library only samples drawn by `sample_ideal` get a frame,
-# one per sweep row (two on a second-prime retry), reused for every degree
-# and every trial form.
+# Bounded: in the library a frame belongs to a sample drawn by `sample_ideal`,
+# one per sweep row (two on a second-prime retry), or to such a sample with a
+# trial form adjoined, one per (k, trial); each is reused in every degree.
 @lru_cache(maxsize=64)
 def ci_frame(sample: IdealSample) -> CIFrame:
     """The identity frame, with one `_exchange` step per form in the sample's order.
@@ -264,13 +268,17 @@ def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     return rows
 
 
-def _frame_piece_dim(field: PrimeField, frame: CIFrame, j: int) -> int:
-    """dim of the degree-j piece of (y_m^caps[m]) + (form^a for form, a in rest).
+@lru_cache(maxsize=None)
+def ideal_piece_dim(sample: IdealSample, j: int) -> int:
+    """dim of the degree-j piece of the ideal for this sample, in its frame.
 
-    J, the monomial ideal of the caps, has J_j spanned by the monomials off
-    `_ci_rows`; the remaining powers add the rank of their products with the
-    surviving monomials, reduced modulo J.
+    J, the monomial ideal of the frame's caps, has J_j spanned by the
+    monomials off `_ci_rows`; the remaining powers add the rank of their
+    products with the surviving monomials, reduced modulo J.
     """
+    if j < 0:
+        return 0
+    field, frame = sample.field, ci_frame(sample)
     caps = frame.caps
     r = len(caps)
     rows = _ci_rows(r, caps, j)
@@ -283,14 +291,6 @@ def _frame_piece_dim(field: PrimeField, frame: CIFrame, j: int) -> int:
     ]
     rank = matrix_rank(DenseMatrix.from_reduced(field, np.hstack(blocks))) if blocks else 0
     return graded_dim(r, j) - rows.size + rank
-
-
-@lru_cache(maxsize=None)
-def ideal_piece_dim(sample: IdealSample, j: int) -> int:
-    """dim of the degree-j piece of the ideal for this sample, in its frame."""
-    if j < 0:
-        return 0
-    return _frame_piece_dim(sample.field, ci_frame(sample), j)
 
 
 def quotient_dim(sample: IdealSample, j: int) -> int:
@@ -320,24 +320,21 @@ def regularity(sample: IdealSample) -> int:
     return hilbert_function(sample).regularity
 
 
-def _trial_rng(sample: IdealSample, k: int, j: int) -> np.random.Generator:
+def _trial_rng(sample: IdealSample, k: int) -> np.random.Generator:
+    """The trial forms of power k: the t-th one is the same in every degree."""
     spec = sample.spec
     return np.random.default_rng(
-        [sample.seed, sample.field.modulus, spec.num_vars, *spec.exponents, k, j, 0x1EF1AB]
+        [sample.seed, sample.field.modulus, spec.num_vars, *spec.exponents, k, 0x1EF1AB]
     )
 
 
 def rank_with_form(sample: IdealSample, form: LinearFormRep, k: int, j: int) -> int:
     """Rank of multiplication by form**k into degree j, as a dimension drop.
 
-    The drop is dim (I + form^k)_j - dim I_j, with the first term ranked in a
-    frame made from the sample's own by one exchange step (`_exchange`).
+    The cokernel is the degree-j piece of R/(I, form^k), so the rank is
+    dim (I + form^k)_j - dim I_j, with form^k one more generator.
     """
-    if j < 0:
-        return 0
-    field = sample.field
-    frame = _exchange(ci_frame(sample), form, k, field.modulus)
-    return _frame_piece_dim(field, frame, j) - ideal_piece_dim(sample, j)
+    return ideal_piece_dim(sample.adjoin_form(form, k), j) - ideal_piece_dim(sample, j)
 
 
 def mult_rank_report(
@@ -346,23 +343,18 @@ def mult_rank_report(
     """Rank of multiplication by a general k-th power from degree j-k to degree j.
 
     The rank over a random form is at most the generic rank, so the report
-    takes the maximum over `trials` independent choices.
+    takes the maximum over up to `trials` independent choices.
     """
     if k < 1 or j < k or trials < 1:
         raise ValueError("need k >= 1, j >= k, trials >= 1")
     dom = quotient_dim(sample, j - k)
     cod = quotient_dim(sample, j)
-    if dom == 0 or cod == 0:
-        rank, used = 0, 0
-    else:
-        rng = _trial_rng(sample, k, j)
-        rank, used = 0, 0
-        for _ in range(trials):
-            form = random_form(sample.field, sample.spec.num_vars, rng)
-            rank = max(rank, rank_with_form(sample, form, k, j))
-            used += 1
-            if rank == min(dom, cod):
-                break
+    rng = _trial_rng(sample, k)
+    rank, used = 0, 0
+    while used < trials and rank < min(dom, cod):
+        form = random_form(sample.field, sample.spec.num_vars, rng)
+        rank = max(rank, rank_with_form(sample, form, k, j))
+        used += 1
     return RankReport(k, j, dom, cod, rank, dom - rank, cod - rank, used)
 
 

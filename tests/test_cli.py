@@ -281,6 +281,12 @@ def test_classify_rejects_four_vars(capsys):
     assert code == 2
 
 
+def test_classify_leaves_coverage_to_verdict_for(capsys):
+    code, out, err = run_cli(capsys, "classify", "--powers", "3,3,3,3", "--k", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: no closed-form verdict for k=4, exponents (3, 3, 3, 3) in 3 variables\n"
+
+
 def _verify_theory_fail(capsys, num_vars, k, specs):
     argv = ["verify", "--vars", str(num_vars), "--k", str(k), "--trials", "2"]
     code, out, _ = run_cli(capsys, *argv, "--specs", ";".join(",".join(map(str, e)) for e in specs))

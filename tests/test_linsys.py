@@ -1,6 +1,9 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
+from leflab import linsys
 from leflab.linsys import (
     PlaneSystem,
     StepNotApplicable,
@@ -253,6 +256,22 @@ def test_system_dim_matches_fatpoint_oracle():
         sys_ = _random_system(rng)
         dim, _ = system_dim(sys_, seed=i)
         assert dim == fatpoint_dim(sys_, seed=1000 + i), sys_
+
+
+def test_system_dim_ends_at_a_theorem(monkeypatch):
+    # Every reduction ends at a terminal that a theorem answers; the
+    # conditions-matrix oracle is never consulted.
+    def refuse(*args, **kwargs):
+        raise AssertionError("fatpoint_dim called")
+
+    monkeypatch.setattr(linsys, "fatpoint_dim", refuse)
+    for d in range(-1, 13):
+        for mults in combinations_with_replacement(range(d + 3), 4):
+            _, trace = system_dim(PlaneSystem(d, mults))
+            end = trace.terminal
+            assert end.reason in ("empty", "standard-form", "double-points", "few-points"), (d, mults)
+            if end.reason == "few-points":
+                assert (end.before.num_points, end.value) == (1, 0), (d, mults)
 
 
 def test_trace_steps_preserve_dimension():

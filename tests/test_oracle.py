@@ -1,4 +1,6 @@
+from functools import lru_cache
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from leflab.oracle import (
     rank_with_form,
 )
 from leflab.linsys import binom, dual_system, system_dim
-from leflab.polyring import LinearFormRep
+from leflab.polyring import LinearFormRep, power_coords
 from leflab.theory import classify_cube, peak_degree, slp_verdict
 
 
@@ -96,12 +98,12 @@ def test_specs_draw_independent_samples():
     firsts = [sample.forms[0].coeffs[:3] for sample in samples]
     assert len(set(firsts)) == 3
     trials = [
-        random_form(sample.field, 3, oracle._trial_rng(sample, 2, 4)).coeffs[:3] for sample in samples
+        random_form(sample.field, 3, oracle._trial_rng(sample, 2)).coeffs[:3] for sample in samples
     ]
     assert len(set(trials)) == 3
     again = sample_ideal(cubes, seed=5)
     assert again.forms == samples[0].forms
-    assert random_form(again.field, 3, oracle._trial_rng(again, 2, 4)).coeffs == trials[0]
+    assert random_form(again.field, 3, oracle._trial_rng(again, 2)).coeffs == trials[0]
 
 
 def test_sampling_rejects_small_prime():
@@ -505,16 +507,53 @@ _SPECIAL_CASE = (
 @settings(max_examples=100, deadline=None)
 @given(trial_cases())
 @example(_SPECIAL_CASE)
-def test_exchange_step_matches_adjoined_frame(case):
-    # rank_with_form ranks the trial ideal in a frame made from the sample's
-    # own by one exchange step; the reference ranks it in the frame of the
-    # adjoined sample.
+def test_trial_form_rank_matches_quotient_matrix(case):
+    # rank_with_form ranks the trial form as one more generator of the
+    # sample; the reference ranks the induced map on standard monomials.
     sample, k, trial_forms = case
-    for form in trial_forms:
-        adjoined = sample.adjoin_form(form, k)
-        for j in range(0, 9):
-            expected = quotient_dim(sample, j) - quotient_dim(adjoined, j)
-            assert rank_with_form(sample, form, k, j) == expected, (sample, form, k, j)
+    # The trial forms share the sample's standard monomials in each degree.
+    with patch.object(oracle, "standard_monomials", lru_cache(maxsize=None)(oracle.standard_monomials)):
+        for form in trial_forms:
+            for j in range(k, 9):
+                expected = matrix_rank(mult_matrix_on_quotient(sample, form, k, j))
+                assert rank_with_form(sample, form, k, j) == expected, (sample, form, k, j)
+
+
+def test_scan_draws_one_first_trial_form_per_power(monkeypatch):
+    # The t-th trial form of a power is the same in every degree.
+    drawn = {}
+
+    def spy(sample, form, k, j):
+        drawn.setdefault(j, form)
+        return rank_with_form(sample, form, k, j)
+
+    monkeypatch.setattr(oracle, "rank_with_form", spy)
+    lefschetz_scan(sample_ideal(ExponentSpec(3, (3, 3, 3, 3)), seed=5), 2)
+    assert len(drawn) > 1
+    assert len(set(drawn.values())) == 1
+
+
+def test_cold_scan_power_coords_do_not_grow_with_degrees(monkeypatch):
+    # Each adjoined sample's frame serves every degree, so a scan computes
+    # the powers of its forms once, however many degrees it covers.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return power_coords(*args)
+
+    monkeypatch.setattr(oracle, "power_coords", counting)
+    counts = []
+    for exponents in ((3, 3, 3, 3), (6, 6, 6, 6)):
+        for cache in (oracle._gen_coords, ci_frame, ideal_piece_dim):
+            cache.cache_clear()
+        calls.clear()
+        sample = sample_ideal(ExponentSpec(3, exponents), seed=5)
+        lefschetz_scan(sample, 1, trials=1)
+        counts.append((regularity(sample), len(calls)))
+    (few, calls_few), (many, calls_many) = counts
+    assert many > few
+    assert calls_many == calls_few
 
 
 @settings(max_examples=200, deadline=None)
