@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("linsys", help="dimension of a plane system with its reduction trace")
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--mults", type=_parse_int_list, default=())
-    _add_common(sub, "prime", "seed", "trials")
 
     sub = subs.add_parser("verify", help="theory-vs-oracle sweep")
     sub.add_argument("--k", type=int, default=3)
@@ -189,7 +188,7 @@ def _trace_json(trace) -> list:
 
 def _cmd_linsys(args) -> int:
     sys_ = PlaneSystem(args.degree, args.mults)
-    dim, trace = system_dim(sys_, prime=args.prime, seed=args.seed, trials=args.trials)
+    dim, trace = system_dim(sys_)
     print(_dumps({"dim": dim, "trace": _trace_json(trace)}))
     return 0
 
@@ -207,7 +206,7 @@ def _row_json(row) -> dict:
 
 def _cmd_verify(args) -> int:
     specs = None
-    if args.specs:
+    if args.specs is not None:
         specs = tuple(_parse_int_list(part) for part in args.specs.split(";") if part.strip())
     config = SweepConfig(
         num_vars=args.vars,

@@ -5,24 +5,24 @@ Ranks are semicontinuous: a random sample can only under-shoot the generic
 rank, never exceed it, so rank reports take the maximum over several trial
 forms and dimension reports are exact with overwhelming probability.
 
-Dimensions are computed inside a monomial complete intersection.  An exact
-change of coordinates over F_p (`ci_frame`) turns a maximal independent set
-of the forms, smallest exponents first, into variables, so their powers span
-a monomial ideal counted without elimination; only the remaining powers are
-row-reduced, on the monomials that survive in the quotient by it.
+Dimensions are computed inside a monomial complete intersection.  Each
+sample carries a `frame`, an exact change of coordinates over F_p that turns
+a maximal independent set of the forms, smallest exponents first, into
+variables, so their powers span a monomial ideal counted without
+elimination; only the remaining powers are row-reduced, on the monomials
+that survive in the quotient by it.
 
 Frames are built by exchange steps (`_exchange`), and no frame eliminates.
 A form L with coordinates l in a frame and power k replaces the variable y_m
 with l_m != 0 and the largest cap (a free one counts as largest) when k is
 below its cap, through the elementary change sending l to e_m, and the
 displaced power y_m^cap joins the remaining powers; otherwise L^k itself
-joins them.  `ci_frame` folds this step over the sample's forms from the
-identity frame.
+joins them.
 A trial form is one more generator: the cokernel of multiplication by L^k on
 R/I is R/(I, L^k), so `rank_with_form` is a difference of two
-`ideal_piece_dim` values, of the sample and of the sample with L^k adjoined.
-Trial forms are drawn per (sample, k), not per degree, so a scan builds one
-frame per (k, trial) and reuses it in every degree.
+`ideal_piece_dim` values, of the sample and of the sample with L^k adjoined,
+whose frame is one more exact exchange step.  Trial forms are drawn per
+(sample, k), so a scan reuses each trial's powers in every degree.
 `sample_ideal` tests general position on its candidate's frame: any r of the
 forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
@@ -33,7 +33,7 @@ stays in the full ring as an independent check.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import mul
 
@@ -91,17 +91,34 @@ class ExponentSpec:
 
 @dataclass(frozen=True)
 class IdealSample:
-    """A concrete random realization of the ideal, reproducible from its seed."""
+    """A concrete random realization of the ideal, reproducible from its seed.
+
+    `frame` is derived from the forms, so equality, hashing and repr skip it.
+    Unless given, it takes one `_exchange` step per form from the identity in
+    exponent order, so a form independent of the earlier ones replaces a free
+    variable, and a dependent one never displaces a cap and joins `rest`.
+    """
 
     spec: ExponentSpec
     forms: tuple[LinearFormRep, ...]
     field: PrimeField
     seed: int
+    frame: CIFrame = dc_field(default=None, kw_only=True, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.frame is None:
+            r, p = self.spec.num_vars, self.field.modulus
+            frame = CIFrame(tuple(tuple(int(i == m) for i in range(r)) for m in range(r)), (None,) * r, ())
+            for form, a in zip(self.forms, self.spec.exponents):
+                frame = _exchange(frame, form, a, p)
+            object.__setattr__(self, "frame", frame)
 
     def adjoin_form(self, form: LinearFormRep, power: int) -> "IdealSample":
+        """The sample with form**power adjoined, framed by one more (exact) exchange step."""
         idx = bisect_right(self.spec.exponents, power)
         forms = self.forms[:idx] + (form,) + self.forms[idx:]
-        return IdealSample(self.spec.adjoin(power), forms, self.field, self.seed)
+        frame = _exchange(self.frame, form, power, self.field.modulus)
+        return IdealSample(self.spec.adjoin(power), forms, self.field, self.seed, frame=frame)
 
 
 @dataclass(frozen=True)
@@ -163,9 +180,8 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
             return sample
 
 
-# Bounded: the remaining forms of a sample's frame recur in every degree, and
-# those of an adjoined trial sample in every degree of one scan; each trial
-# form brings new ones.
+# Bounded: a frame's remaining forms recur in every degree, and an adjoined
+# trial sample's one exchange step gives the same ones in each degree of a scan.
 @lru_cache(maxsize=256)
 def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
     vec = power_coords(field, form, power)
@@ -226,25 +242,6 @@ def _exchange(frame: CIFrame, form: LinearFormRep, k: int, p: int) -> CIFrame:
     return CIFrame(change, caps[:m] + (k,) + caps[m + 1 :], rest)
 
 
-# Bounded: in the library a frame belongs to a sample drawn by `sample_ideal`,
-# one per sweep row (two on a second-prime retry), or to such a sample with a
-# trial form adjoined, one per (k, trial); each is reused in every degree.
-@lru_cache(maxsize=64)
-def ci_frame(sample: IdealSample) -> CIFrame:
-    """The identity frame, with one `_exchange` step per form in the sample's order.
-
-    The forms are sorted by exponent, so a form that depends on the forms
-    already chosen never displaces a cap and joins `rest`, while an
-    independent one replaces a free variable: form i is chosen exactly when
-    it is independent of forms 0..i-1, and the smallest powers come first.
-    """
-    r, p = sample.spec.num_vars, sample.field.modulus
-    frame = CIFrame(tuple(tuple(int(i == m) for i in range(r)) for m in range(r)), (None,) * r, ())
-    for form, a in zip(sample.forms, sample.spec.exponents):
-        frame = _exchange(frame, form, a, p)
-    return frame
-
-
 def _in_general_position(sample: IdealSample) -> bool:
     """Whether any r of the s >= r forms are independent, from the sample's frame.
 
@@ -255,10 +252,11 @@ def _in_general_position(sample: IdealSample) -> bool:
     forms depends on the fewer than r forms chosen before it, which stay
     variables; it is in `rest` with a zero coordinate, so a 1x1 minor fails.
     """
-    block = [list(col) for col in zip(*(form.coeffs for form, _ in ci_frame(sample).rest))]
+    block = [list(col) for col in zip(*(form.coeffs for form, _ in sample.frame.rest))]
     return all_minors_nonzero(block, sample.field.modulus)
 
 
+# Unbounded: keyed by shapes, not samples; 1,290 entries after `verify --a-max 8`.
 @lru_cache(maxsize=None)
 def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     """Rows of the degree-j monomial basis that are not in (x_m^caps[m])."""
@@ -268,7 +266,9 @@ def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
+# Bounded: a cold scan needs about twice its degree count in live keys, 99 at
+# most as measured ((30,)*6 in 3 variables, k <= 2, 5 trials): a 10x margin.
+@lru_cache(maxsize=1024)
 def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     """dim of the degree-j piece of the ideal for this sample, in its frame.
 
@@ -278,7 +278,7 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     """
     if j < 0:
         return 0
-    field, frame = sample.field, ci_frame(sample)
+    field, frame = sample.field, sample.frame
     caps = frame.caps
     r = len(caps)
     rows = _ci_rows(r, caps, j)
@@ -294,8 +294,6 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
 
 
 def quotient_dim(sample: IdealSample, j: int) -> int:
-    if j < 0:
-        return 0
     return graded_dim(sample.spec.num_vars, j) - ideal_piece_dim(sample, j)
 
 

@@ -32,6 +32,7 @@ class LinearFormRep:
         return len(self.coeffs)
 
 
+# Unbounded: one entry per (variables, degree), 48 after `verify --a-max 8`.
 @lru_cache(maxsize=None)
 def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
     """Exponents of the degree-`degree` monomials, one read-only row each.
@@ -60,6 +61,7 @@ def graded_dim(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
+# Unbounded: keyed by shapes, not samples; 44 entries after `verify --a-max 8`.
 @lru_cache(maxsize=None)
 def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
     """map[t, c]: target-basis row of (term t of degree f_degree) * (source monomial c).

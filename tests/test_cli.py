@@ -188,9 +188,10 @@ def test_usage_errors_exit_two(capsys):
     # A malformed --specs part is a usage error, like a malformed --powers.
     code, out, err = run_cli(capsys, "verify", "--specs", "3,a,3,3")
     assert (code, out, err) == (2, "", "error: expected a comma-separated integer list: '3,a,3,3'\n")
-    # linsys refuses zero trials like rank, scan and verify.
+    # linsys reads no trials, so --trials is an unknown flag there.
     code, out, err = run_cli(capsys, "linsys", "--degree", "6", "--mults", "3,3,3,3,3,3,3", "--trials", "0")
-    assert (code, out, err) == (2, "", "error: need trials >= 1\n")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --trials 0" in err
 
 
 def test_malformed_env_prime_exits_two(capsys, monkeypatch):
@@ -218,7 +219,7 @@ _KEPT_FLAGS = {
     "scan": ("--vars", "--prime", "--seed", "--trials"),
     "classify": ("--vars",),
     "slp": ("--vars",),
-    "linsys": ("--prime", "--seed", "--trials"),
+    "linsys": (),
     "verify": ("--vars", "--prime", "--seed", "--trials", "--format"),
 }
 
@@ -393,3 +394,10 @@ def test_public_names_resolve():
 def test_empty_explicit_specs_give_empty_report():
     rows, summary = run_verification(SweepConfig(specs=(), k=3))
     assert rows == [] and summary["rows"] == 0
+
+
+def test_empty_specs_flag_gives_empty_report(capsys):
+    # An empty --specs is an empty list of specs, not the default sweep.
+    empty = '{"rows":[],"summary":{"rows":0,"agreements":0,"disagreements":0}}\n'
+    for specs in ("", ";"):
+        assert run_cli(capsys, "verify", "--specs", specs) == (0, empty, ""), specs

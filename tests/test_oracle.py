@@ -16,7 +16,6 @@ from leflab.oracle import (
     PrimeTooSmallError,
     _ideal_matrix,
     _in_general_position,
-    ci_frame,
     hilbert_function,
     ideal_piece_dim,
     lefschetz_scan,
@@ -441,7 +440,7 @@ _DEPENDENT_FIRST_FORMS = IdealSample(
 
 def test_ci_frame_skips_dependent_first_forms():
     sample = _DEPENDENT_FIRST_FORMS
-    frame = ci_frame(sample)
+    frame = sample.frame
     assert frame.caps == (2, 2, 3)
     assert frame.rest == ((LinearFormRep((1, 1, 0)), 2),)
     assert hilbert_function(sample).values == (1, 3, 3, 2)
@@ -453,7 +452,7 @@ def test_ci_frame_skips_dependent_first_forms():
 def test_ci_frame_maps_chosen_forms_to_unit_vectors(exponents):
     sample = sample_ideal(ExponentSpec(4, exponents), seed=7)
     p = sample.field.modulus
-    frame = ci_frame(sample)
+    frame = sample.frame
     chosen = min(4, len(exponents))
     # General forms: the first ones are chosen, smallest exponents first.
     assert frame.caps == exponents[:chosen] + (None,) * (4 - chosen)
@@ -545,7 +544,7 @@ def test_cold_scan_power_coords_do_not_grow_with_degrees(monkeypatch):
     monkeypatch.setattr(oracle, "power_coords", counting)
     counts = []
     for exponents in ((3, 3, 3, 3), (6, 6, 6, 6)):
-        for cache in (oracle._gen_coords, ci_frame, ideal_piece_dim):
+        for cache in (oracle._gen_coords, ideal_piece_dim):
             cache.cache_clear()
         calls.clear()
         sample = sample_ideal(ExponentSpec(3, exponents), seed=5)
@@ -554,6 +553,42 @@ def test_cold_scan_power_coords_do_not_grow_with_degrees(monkeypatch):
     (few, calls_few), (many, calls_many) = counts
     assert many > few
     assert calls_many == calls_few
+
+
+def test_adjoined_sample_takes_one_exchange_step(monkeypatch):
+    # The adjoined sample extends the sample's frame; it does not re-fold
+    # the sample's own forms.
+    sample = sample_ideal(ExponentSpec(3, (3, 3, 4, 5, 5)), seed=5)
+    exchange, calls = oracle._exchange, []
+
+    def counting(*args):
+        calls.append(args)
+        return exchange(*args)
+
+    monkeypatch.setattr(oracle, "_exchange", counting)
+    form = random_form(sample.field, 3, np.random.default_rng(3))
+    adjoined = sample.adjoin_form(form, 2)
+    assert calls == [(sample.frame, form, 2, sample.field.modulus)]
+    # Out of exponent order, but general forms still cap the r smallest powers.
+    assert sorted(adjoined.frame.caps) == [2, 3, 3]
+    # The frame is derived data: not part of equality, hashing or repr.
+    assert adjoined == IdealSample(adjoined.spec, adjoined.forms, adjoined.field, adjoined.seed)
+    assert "frame" not in repr(adjoined)
+
+
+def test_cold_scan_misses_each_piece_once(monkeypatch):
+    # The largest scan in the suite: ideal_piece_dim's bound evicts nothing
+    # the scan still needs, so it misses once per distinct (sample, j).
+    keys = set()
+
+    def spy(sample, j):
+        keys.add((sample, j))
+        return ideal_piece_dim(sample, j)
+
+    monkeypatch.setattr(oracle, "ideal_piece_dim", spy)
+    ideal_piece_dim.cache_clear()
+    lefschetz_scan(sample_ideal(ExponentSpec(3, (18,) * 10)), 3, trials=2)
+    assert ideal_piece_dim.cache_info().misses == len(keys)
 
 
 @settings(max_examples=200, deadline=None)
@@ -574,7 +609,7 @@ def test_general_position_needs_two_by_two_minors():
     # vanishes: z, x+y+z and x+y+2z are dependent.
     forms = tuple(LinearFormRep(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 2)))
     sample = IdealSample(ExponentSpec(3, (2,) * 5), forms, PrimeField(), seed=0)
-    assert all(all(form.coeffs) for form, _ in ci_frame(sample).rest)
+    assert all(all(form.coeffs) for form, _ in sample.frame.rest)
     assert not subsets_independent(sample)
     assert not _in_general_position(sample)
 
@@ -591,7 +626,7 @@ def test_ci_frame_chooses_forms_independent_of_earlier_ones(data):
     forms = tuple(LinearFormRep(tuple(c)) for c in data.draw(st.lists(coeffs, min_size=s, max_size=s), label="forms"))
     exps = tuple(sorted(data.draw(st.lists(st.integers(1, 3), min_size=s, max_size=s), label="exponents")))
     field = PrimeField(p)
-    frame = ci_frame(IdealSample(ExponentSpec(r, exps), forms, field, seed=0))
+    frame = IdealSample(ExponentSpec(r, exps), forms, field, seed=0).frame
 
     def rank(fs):
         return matrix_rank(DenseMatrix(field, [f.coeffs for f in fs])) if fs else 0
@@ -619,7 +654,6 @@ def test_frames_eliminate_nothing(monkeypatch):
         raise AssertionError("row_echelon called")
 
     monkeypatch.setattr(oracle, "row_echelon", refuse)
-    ci_frame.cache_clear()
     ideal_piece_dim.cache_clear()
     artinian = [
         sample_ideal(ExponentSpec(3, (3, 3, 3, 3)), seed=5),
