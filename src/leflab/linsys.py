@@ -195,9 +195,7 @@ def _terminal(sys: PlaneSystem, reason: str, value: int) -> ReductionStep:
     return ReductionStep("terminal", sys, None, reason=reason, value=value)
 
 
-def system_dim(
-    sys: PlaneSystem, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 2
-) -> tuple[int, ReductionTrace]:
+def system_dim(sys: PlaneSystem, seed: int = 0) -> tuple[int, ReductionTrace]:
     """Dimension of the system by reduction, with the step-by-step trace.
 
     Loop order: terminal checks (empty, standard form, all double points),
@@ -211,11 +209,9 @@ def system_dim(
     Bezout step.  Otherwise there are at least three points and
     m = d - b1 - b2 - b3 < 0 <= d - b1 - b2 = b3 + m, so a Cremona step
     applies.  Both steps lower the degree, and a strip happens at most once
-    between two of them, so the loop ends.  `prime`, `seed` and `trials` are
-    unused; they are kept for callers that pass them.
+    between two of them, so the loop ends.  `seed` is unused; it is kept
+    for the benchmark workloads, which pass it.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     steps: list[ReductionStep] = []
     stripped = 0
     cur = sys

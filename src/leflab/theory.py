@@ -5,11 +5,12 @@ degree of the Hilbert function and the complete square/cube classifications
 together with their SLP/WLP corollaries in three and four variables.  Each
 result is stated once: where it holds for a general multiset, its uniform
 special case (s copies of t) is an expected value in the tests, not a second
-copy here.  Four-variable WLP verdicts are three-variable classifications
-of the other powers, by exchanging the smallest one (see `verdict_for`).
-`verdict_for(spec, k)` (a k-th power map) and `slp_verdict(spec)`
-(the SLP or WLP) pick the closed form that answers a spec, or raise
-ValueError; the CLI and the verification harness go through them.
+copy here, nor a shortcut for inputs that the general criterion decides.
+Four-variable WLP verdicts are three-variable classifications of the other
+powers, by exchanging the smallest one (see `verdict_for`).  `verdict_for`
+(a k-th power map) and `slp_verdict` (the SLP or WLP) pick the closed form
+that answers a spec, or raise ValueError; the CLI and the verification
+harness go through them.
 """
 
 from __future__ import annotations
@@ -39,15 +40,12 @@ class DegreeFailure:
 class Verdict:
     """A theory-engine classification with its witness data."""
 
-    status: str
     failures: tuple[DegreeFailure, ...] = ()
     witness: Mapping[str, int] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.status not in (MAXIMAL, FAILS):
-            raise ValueError(f"unknown status {self.status!r}")
-        if (self.status == FAILS) != bool(self.failures):
-            raise ValueError("failure list must be nonempty exactly when status is 'fails'")
+    @property
+    def status(self) -> str:
+        return FAILS if self.failures else MAXIMAL
 
     @property
     def failing_degrees(self) -> tuple[int, ...]:
@@ -91,7 +89,7 @@ def _reject_non_artinian_3vars(spec: ExponentSpec) -> None:
 def classify_square(spec: ExponentSpec) -> Verdict:
     """Multiplication by a general square always has maximal rank (3 variables)."""
     _reject_non_artinian_3vars(spec)
-    return Verdict(MAXIMAL, witness={"peak": peak_degree(spec)})
+    return Verdict(witness={"peak": peak_degree(spec)})
 
 
 def classify_cube(spec: ExponentSpec) -> Verdict:
@@ -102,17 +100,11 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
     peak+1 equals nu = peak + 2 - line_condition_sum(spec, peak), nu is even
     and at least four, and no exponent equals peak+2.  In the failing degree
     the kernel and cokernel are both one-dimensional and the domain and
-    codomain have equal dimension.
+    codomain have equal dimension.  Three forms never fail (m + n <= 3), nor
+    does a linear generator: line_condition_sum(spec, j) >= j, so nu = 2.
     """
     _reject_non_artinian_3vars(spec)
     exps = spec.exponents
-    if 1 in exps:
-        # A linear generator eliminates a variable; two-variable quotients
-        # have the SLP, so every power map has maximal rank.
-        return Verdict(MAXIMAL, witness={"rule_linear_generator": 1})
-    if spec.s == 3:
-        # Three general powers form a complete intersection with the SLP.
-        return Verdict(MAXIMAL, witness={"rule_complete_intersection": 1})
     p = peak_degree(spec)
     conditions = line_condition_sum(spec, p)
     nu = p + 2 - conditions
@@ -120,10 +112,10 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
     n, q = exps.count(p + 1), exps.count(p + 2)
     witness = {"peak": p, "nu": nu, "m": m, "n": n, "q": q, "d": p - conditions}
     if not (m + n == nu and nu >= 4 and nu % 2 == 0 and q == 0):
-        return Verdict(MAXIMAL, witness=witness)
+        return Verdict(witness=witness)
     witness["equal_dims_low"] = p - 1
     witness["equal_dims_high"] = p + 2
-    return Verdict(FAILS, (DegreeFailure(p + 2, 1, 1),), witness)
+    return Verdict((DegreeFailure(p + 2, 1, 1),), witness)
 
 
 @dataclass(frozen=True)
@@ -161,9 +153,9 @@ def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
     if s < 4 or t < 3:
         raise ValueError("need s >= 4 and t >= 3")
     if s % 2 == 1 or t % (s - 1) != 0:
-        return Verdict(MAXIMAL, witness={})
+        return Verdict()
     j = s * t // (s - 1)
-    return Verdict(FAILS, (DegreeFailure(j, None, 1),), {})
+    return Verdict((DegreeFailure(j, None, 1),))
 
 
 def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
@@ -193,7 +185,7 @@ def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
     if spec.num_vars == 4 and k == 1 and spec.s >= 4 and a <= 3:
         exchanged = verdict_for(ExponentSpec(3, rest), a)
         cokernels = tuple(DegreeFailure(f.degree, None, f.cokernel_dim) for f in exchanged.failures)
-        return Verdict(exchanged.status, cokernels)
+        return Verdict(cokernels)
     raise ValueError(f"no closed-form verdict for k={k}, exponents {spec.exponents} in {spec.num_vars} variables")
 
 
@@ -222,12 +214,12 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
     if spec.num_vars == 3:
         _reject_non_artinian_3vars(spec)
         if 2 in exps:
-            return LefschetzVerdict("SLP", "square-generator", Verdict(MAXIMAL))
+            return LefschetzVerdict("SLP", "square-generator", Verdict())
         if exps[0] == 1:
-            return LefschetzVerdict("SLP", "linear-generator", Verdict(MAXIMAL))
+            return LefschetzVerdict("SLP", "linear-generator", Verdict())
         if spec.s == 3:
-            return LefschetzVerdict("SLP", "complete-intersection", Verdict(MAXIMAL))
-        if exps[0] == 3 and spec.s > 3:
+            return LefschetzVerdict("SLP", "complete-intersection", Verdict())
+        if exps[0] == 3:
             # The cube quotient has the SLP exactly when the cube map has
             # maximal rank on the rest with each power b from 3 through its
             # peak adjoined.
@@ -241,8 +233,7 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
                 checks.append((b, classify_cube(bigger)))
             by_degree = {f.degree: f for _, v in checks for f in v.failures}
             failures = tuple(by_degree[j] for j in sorted(by_degree))
-            verdict = Verdict(FAILS if failures else MAXIMAL, failures)
-            return LefschetzVerdict("SLP", "cube-quotient", verdict, tuple(checks))
+            return LefschetzVerdict("SLP", "cube-quotient", Verdict(failures), tuple(checks))
     elif spec.num_vars == 4:
         verdict = verdict_for(spec, 1)
         uniform = spec.s >= 5 and len(set(exps[1:])) == 1

@@ -52,6 +52,13 @@ def test_scan_output(capsys):
     assert json.loads(out) == {"k": 3, "failures": [[4, 1]]}
 
 
+def test_scan_refuses_bad_k_and_trials_with_no_degree_to_scan(capsys):
+    # Neither call leaves a degree to scan; both are usage errors all the same.
+    for argv in (("--powers", "3,3,3,3", "--k", "-5"), ("--powers", "2,2,2", "--k", "5", "--trials", "0")):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert (code, out, err) == (2, "", "error: need k >= 1, trials >= 1\n"), argv
+
+
 def test_slp_three_vars(capsys):
     code, out, _ = run_cli(capsys, "slp", "--vars", "3", "--powers", "2,3,4,5")
     assert code == 0

@@ -366,6 +366,15 @@ def test_scan_ranges_and_trivial_degrees():
     assert rep.dim_codomain == 0 and rep.rank == 0 and rep.is_maximal
 
 
+def test_scan_refuses_bad_k_and_trials_with_no_degree_to_scan():
+    # (2, 2, 2) has regularity 3, so k = 5 leaves no degree to scan, and so
+    # does any k < 1; the arguments are checked all the same.
+    sample = sample_ideal(ExponentSpec(3, (2, 2, 2)))
+    for k, trials in ((-5, 5), (0, 5), (5, 0), (1, 0)):
+        with pytest.raises(ValueError, match="need k >= 1, trials >= 1"):
+            lefschetz_scan(sample, k, trials=trials)
+
+
 def test_cube_quotient_failing_powers_match_per_power_checks():
     # On the quotient by a general cube of the (5^5) algebra, the only power
     # whose multiplication misses maximal rank is b=5, in degree 6, by one --
@@ -602,6 +611,17 @@ def test_general_position_matches_subset_ranks(data):
     forms = tuple(LinearFormRep(tuple(c)) for c in data.draw(st.lists(coeffs, min_size=s, max_size=s), label="forms"))
     sample = IdealSample(ExponentSpec(r, (2,) * s), forms, PrimeField(p), seed=0)
     assert _in_general_position(sample) == subsets_independent(sample)
+
+
+def test_general_position_with_fewer_forms_than_variables():
+    # s < r asks every form to be independent.  The third form is the sum of
+    # the first two, so it lands in the frame's rest with a zero coordinate.
+    field = PrimeField(7)
+    forms = tuple(LinearFormRep(c) for c in ((1, 2, 0, 3), (0, 1, 1, 1), (1, 3, 1, 4)))
+    independent = IdealSample(ExponentSpec(4, (2, 2)), forms[:2], field, seed=0)
+    assert independent.frame.rest == () and _in_general_position(independent)
+    dependent = IdealSample(ExponentSpec(4, (2, 2, 2)), forms, field, seed=0)
+    assert len(dependent.frame.rest) == 1 and not _in_general_position(dependent)
 
 
 def test_general_position_needs_two_by_two_minors():

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,6 +112,21 @@ def test_classify_cube_small_cases():
     assert classify_cube(ExponentSpec(3, (1, 4, 4, 4, 4))).status == MAXIMAL
     with pytest.raises(NonArtinianError):
         classify_cube(ExponentSpec(3, (4, 4)))
+
+
+def test_classify_cube_linear_generator_or_three_forms_never_fail():
+    # The general criterion needs m + n = nu >= 4: three forms have
+    # m + n <= 3, and a linear generator pins nu at 2.
+    for s in range(3, 9):
+        for exps in combinations_with_replacement(range(1, 13), s):
+            if exps[0] != 1 and s != 3:
+                continue
+            v = classify_cube(ExponentSpec(3, exps))
+            assert v.status == MAXIMAL and v.failures == (), exps
+            if exps[0] == 1:
+                assert v.witness["nu"] == 2, exps
+            else:
+                assert v.witness["m"] + v.witness["n"] <= 3, exps
 
 
 def test_classify_cube_never_fails_right_after_peak():
@@ -239,14 +256,15 @@ def test_wlp_cube_uniform_4vars_is_verdict_for():
 
 
 def test_verdict_validation():
+    # The status follows the failures both ways, so no verdict contradicts itself.
     from leflab.theory import DegreeFailure, Verdict
 
-    with pytest.raises(ValueError):
-        Verdict("bogus")
-    with pytest.raises(ValueError):
-        Verdict(FAILS)
-    with pytest.raises(ValueError):
-        Verdict(MAXIMAL, (DegreeFailure(4, 1, 1),))
+    assert Verdict().status == MAXIMAL
+    assert Verdict(witness={"peak": 4}).status == MAXIMAL
+    failing = Verdict((DegreeFailure(4, 1, 1),))
+    assert failing.status == FAILS and failing.failing_degrees == (4,)
+    with pytest.raises(AttributeError):
+        failing.status = MAXIMAL
 
 
 def _failures(spec, k):
