@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     _add_common(sub, "vars", "prime", "seed", "trials")
 
-    sub = subs.add_parser("classify", help="closed-form verdict for L^k: k in {1,2,3} in three variables, k = 1 in four")
+    sub = subs.add_parser("classify", help="closed-form verdict for L^k: any k in three variables (k >= 4 needs an exponent <= 3), k = 1 in four")
     sub.add_argument("--powers", type=_parse_int_list, required=True)
     sub.add_argument("--k", type=int, required=True)
     _add_common(sub, "vars")

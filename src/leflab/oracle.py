@@ -130,9 +130,15 @@ class RankReport:
     dim_domain: int
     dim_codomain: int
     rank: int
-    kernel_dim: int
-    cokernel_dim: int
     trials_used: int
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.dim_domain - self.rank
+
+    @property
+    def cokernel_dim(self) -> int:
+        return self.dim_codomain - self.rank
 
     @property
     def is_maximal(self) -> bool:
@@ -152,11 +158,6 @@ class HilbertData:
     @property
     def regularity(self) -> int:
         return len(self.values) - 1
-
-    def at(self, j: int) -> int:
-        if j < 0 or j > self.regularity:
-            return 0
-        return self.values[j]
 
 
 def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> LinearFormRep:
@@ -356,7 +357,7 @@ def mult_rank_report(
         form = random_form(sample.field, sample.spec.num_vars, rng)
         rank = max(rank, rank_with_form(sample, form, k, j))
         used += 1
-    return RankReport(k, j, dom, cod, rank, dom - rank, cod - rank, used)
+    return RankReport(k, j, dom, cod, rank, used)
 
 
 def lefschetz_scan(

@@ -6,11 +6,12 @@ together with their SLP/WLP corollaries in three and four variables.  Each
 result is stated once: where it holds for a general multiset, its uniform
 special case (s copies of t) is an expected value in the tests, not a second
 copy here, nor a shortcut for inputs that the general criterion decides.
-Four-variable WLP verdicts are three-variable classifications of the other
-powers, by exchanging the smallest one (see `verdict_for`).  `verdict_for`
-(a k-th power map) and `slp_verdict` (the SLP or WLP) pick the closed form
-that answers a spec, or raise ValueError; the CLI and the verification
-harness go through them.
+Four-variable WLP verdicts and three-variable powers k >= 4 are
+three-variable classifications, by one exchange of the smallest exponent
+with L^k (see `verdict_for`).  `verdict_for` (a k-th power map) and
+`slp_verdict` (the SLP or WLP, asking `verdict_for` for each power) pick the
+closed form that answers a spec, or raise ValueError; the CLI and the
+verification harness go through them.
 """
 
 from __future__ import annotations
@@ -118,30 +119,6 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
     return Verdict((DegreeFailure(p + 2, 1, 1),), witness)
 
 
-@dataclass(frozen=True)
-class FailingPowers:
-    asserted: frozenset[int]
-    conjectured: frozenset[int]
-
-
-def failing_powers_after_cube(s: int, t: int, reg_bound: int) -> FailingPowers:
-    """Powers b whose multiplication misses maximal rank on the cube quotient.
-
-    For s odd, t >= s and b <= t the failing powers are exactly the multiples
-    of s below reg_bound.  Multiples of s strictly between t and reg_bound are
-    reported separately: they are conjectured to fail as well but are not
-    asserted.
-    """
-    if s % 2 == 0 or s < 3:
-        raise ValueError("need s odd and >= 3")
-    if t < s:
-        raise ValueError("need t >= s")
-    asserted = frozenset(b for b in range(s, t + 1, s) if b < reg_bound)
-    first = ((t // s) + 1) * s
-    conjectured = frozenset(b for b in range(first, reg_bound, s))
-    return FailingPowers(asserted, conjectured)
-
-
 def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
     """WLP in four variables for a cube plus s copies of t.
 
@@ -162,30 +139,34 @@ def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
     """Closed-form verdict for multiplication by a general k-th power.
 
     Three variables with k <= 3 use the square and cube classifications.
-    Four variables with k = 1, at least four forms and smallest exponent
-    a_1 <= 3 use the exchange that the paper (arXiv 1703.07456) starts from:
-    for I = (L_1^a_1, rest), the cokernel of x L into degree j is
-    [R/(I, L)]_j, a three-variable quotient by the restricted forms, which
-    are general again.  So it equals the cokernel of x l_1^a_1 into degree j
-    on the three-variable quotient by the rest, which the square (a_1 <= 2)
-    or cube (a_1 = 3) classification of the rest answers.  That identity
-    holds for any general forms, but it fixes only the cokernel, so the
-    failures carry no kernel dimension.  For a_1 <= 2 the answer, maximal
-    rank, is the paper's four-variable WLP result for a quadratic generator.
-    For a_1 = 3, that x L misses maximal rank in exactly the degrees where
-    x l_1^3 does is checked by oracle sweeps (every such spec with 3 to 6
-    rest exponents in 3..9), not proved here.  Every other case raises
-    ValueError.
+    Every other answer comes from the exchange that the paper (arXiv
+    1703.07456) starts from, applied to the smallest exponent a_1 <= 3:
+    for I = (L_1^a_1, rest), the cokernel of x L^k into degree j is
+    [R/(I, L^k)]_j, which is the cokernel of x L_1^a_1 into degree j on
+    R/(rest, L^k).  For k = 1 (four variables, at least four forms) that
+    ring is the three-variable quotient by the restricted forms, which are
+    general again; for k >= 4 (three variables) it is the quotient by rest
+    with k adjoined.  Either way the square (a_1 <= 2) or cube (a_1 = 3)
+    classification answers it.  The identity fixes only the cokernel, so the
+    failures carry no kernel dimension, and below degree k the domain is
+    zero, so x L^k has maximal rank there whatever the cokernel.
+    Provenance by a_1: for a_1 = 1 the quotient is in two variables; for
+    a_1 = 2 the answer, maximal rank, is the paper's result for a quadratic
+    generator; for a_1 = 3 the paper's cube criterion names the failing
+    powers, and that x L^k fails in exactly the degrees where x L_1^3 does,
+    with deficiency equal to the cokernel, is checked by oracle sweeps, not
+    proved here.  Every other case raises ValueError.
     """
     if spec.num_vars == 3 and k in (1, 2):
         return classify_square(spec)
     if spec.num_vars == 3 and k == 3:
         return classify_cube(spec)
     a, rest = spec.exponents[0], spec.exponents[1:]
-    if spec.num_vars == 4 and k == 1 and spec.s >= 4 and a <= 3:
-        exchanged = verdict_for(ExponentSpec(3, rest), a)
-        cokernels = tuple(DegreeFailure(f.degree, None, f.cokernel_dim) for f in exchanged.failures)
-        return Verdict(cokernels)
+    four_vars_wlp = spec.num_vars == 4 and k == 1 and spec.s >= 4
+    if a <= 3 and (four_vars_wlp or (spec.num_vars == 3 and k >= 4)):
+        exchanged = verdict_for(ExponentSpec(3, rest if k == 1 else rest + (k,)), a)
+        kept = (f for f in exchanged.failures if f.degree >= k)
+        return Verdict(tuple(DegreeFailure(f.degree, None, f.cokernel_dim) for f in kept))
     raise ValueError(f"no closed-form verdict for k={k}, exponents {spec.exponents} in {spec.num_vars} variables")
 
 
@@ -204,11 +185,11 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
 
     Three variables, first match: a square generator, a linear one (leaving
     a two-variable quotient), three forms (a complete intersection, which
-    has the SLP), or a cube plus at least three more powers (the
-    cube-quotient checks of the rest).  Four variables: `verdict_for(spec,
-    1)`, labelled square-generator (a_1 <= 2), cube-uniform (a cube plus at
-    least four equal powers) or cube-generator (any other cube).  Anything
-    that leaves uncovered raises ValueError.
+    has the SLP), or a cube plus at least three more powers (cube-quotient:
+    `verdict_for` of each power from 3 through the peak of the rest).  Four
+    variables: `verdict_for(spec, 1)`, labelled square-generator (a_1 <= 2),
+    cube-uniform (a cube plus at least four equal powers) or cube-generator
+    (any other cube).  Anything that leaves uncovered raises ValueError.
     """
     exps = spec.exponents
     if spec.num_vars == 3:
@@ -220,20 +201,13 @@ def slp_verdict(spec: ExponentSpec) -> LefschetzVerdict:
         if spec.s == 3:
             return LefschetzVerdict("SLP", "complete-intersection", Verdict())
         if exps[0] == 3:
-            # The cube quotient has the SLP exactly when the cube map has
-            # maximal rank on the rest with each power b from 3 through its
-            # peak adjoined.
+            # The cube quotient has the SLP exactly when every power b from 3
+            # through the peak of the rest has maximal rank; no later power fails.
             rest = ExponentSpec(3, exps[1:])
-            p0 = peak_degree(rest)
-            checks = []
-            for b in range(3, p0 + 1):
-                bigger = rest.adjoin(b)
-                # Adjoining a generator can only lower the peak degree.
-                assert peak_degree(bigger) <= p0
-                checks.append((b, classify_cube(bigger)))
+            checks = tuple((b, verdict_for(spec, b)) for b in range(3, peak_degree(rest) + 1))
             by_degree = {f.degree: f for _, v in checks for f in v.failures}
             failures = tuple(by_degree[j] for j in sorted(by_degree))
-            return LefschetzVerdict("SLP", "cube-quotient", Verdict(failures), tuple(checks))
+            return LefschetzVerdict("SLP", "cube-quotient", Verdict(failures), checks)
     elif spec.num_vars == 4:
         verdict = verdict_for(spec, 1)
         uniform = spec.s >= 5 and len(set(exps[1:])) == 1

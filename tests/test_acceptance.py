@@ -73,7 +73,7 @@ def test_criterion_03_cube_classification_sweep():
                 p = verdict.witness["peak"]
                 hd = L.hilbert_function(sample)
                 rep = L.mult_rank_report(sample, 3, p + 2)
-                if hd.at(p - 1) != hd.at(p + 2):
+                if hd.values[p - 1] != hd.values[p + 2]:
                     bad.append((combo, "domain/codomain dims differ"))
                 if rep.cokernel_dim != 1 or rep.kernel_dim != 1:
                     bad.append((combo, "kernel/cokernel not one", rep))
@@ -182,14 +182,13 @@ def test_criterion_09_failing_powers_instance():
         failures = L.lefschetz_scan(sample, b, trials=2)
         if failures:
             observed[b] = failures
-    fp = theory.failing_powers_after_cube(5, 14, reg)
     conjecture_scan = L.lefschetz_scan(sample, 15, trials=2)
+    predicted = {b: [(f.degree, f.deficiency) for f in theory.verdict_for(spec, b).failures] for b in range(3, 16)}
     ok = (
         reg == 17
         and set(observed) == {5, 10}
-        and set(observed) == set(fp.asserted)
+        and predicted == {b: observed.get(b, []) for b in range(3, 15)} | {15: conjecture_scan}
         and all(len(f) == 1 and f[0][1] == 1 for f in observed.values())
-        and fp.conjectured == {15}
         and len(conjecture_scan) == 1 and conjecture_scan[0][1] == 1
     )
     _verdict(9, "failing powers for (3,14^5)", ok, time.perf_counter() - t0, 300.0,

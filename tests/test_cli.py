@@ -290,9 +290,9 @@ def test_classify_rejects_four_vars(capsys):
 
 
 def test_classify_leaves_coverage_to_verdict_for(capsys):
-    code, out, err = run_cli(capsys, "classify", "--powers", "3,3,3,3", "--k", "4")
+    code, out, err = run_cli(capsys, "classify", "--powers", "4,4,4,4", "--k", "4")
     assert (code, out) == (2, "")
-    assert err == "error: no closed-form verdict for k=4, exponents (3, 3, 3, 3) in 3 variables\n"
+    assert err == "error: no closed-form verdict for k=4, exponents (4, 4, 4, 4) in 3 variables\n"
 
 
 def _verify_theory_fail(capsys, num_vars, k, specs):

@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from unittest.mock import patch
 
 import numpy as np
@@ -29,7 +29,7 @@ from leflab.oracle import (
 )
 from leflab.linsys import binom, dual_system, system_dim
 from leflab.polyring import LinearFormRep, power_coords
-from leflab.theory import classify_cube, peak_degree, slp_verdict
+from leflab.theory import classify_cube, peak_degree, slp_verdict, verdict_for
 
 
 def ci_hilbert(exponents):
@@ -394,6 +394,23 @@ def test_cube_quotient_failing_powers_match_per_power_checks():
     assert answer.rule == "cube-quotient" and answer.verdict.failing_degrees == (6,)
     predicted = {b: list(v.failing_degrees) for b, v in answer.checks if v.failures}
     assert predicted == {5: [6]}
+
+
+def test_higher_powers_by_exchange_match_oracle():
+    # verdict_for answers k >= 4 in three variables by exchanging a generator
+    # of degree <= 3 with L^k; the oracle scans agree, failures included.
+    failing = 0
+    for s in (3, 4, 5):
+        for exps in combinations_with_replacement(range(1, 7), s):
+            if exps[0] > 3:
+                continue
+            spec = ExponentSpec(3, exps)
+            sample = sample_ideal(spec)
+            for k in range(4, 8):
+                want = [(f.degree, f.deficiency) for f in verdict_for(spec, k).failures]
+                assert lefschetz_scan(sample, k, trials=2) == want, (exps, k)
+                failing += bool(want)
+    assert failing == 13
 
 
 def test_results_stable_across_primes():

@@ -10,7 +10,6 @@ from leflab.theory import (
     MAXIMAL,
     classify_cube,
     classify_square,
-    failing_powers_after_cube,
     line_condition_sum,
     peak_degree,
     slp_verdict,
@@ -224,13 +223,27 @@ def test_slp_uniform_agrees_with_per_power_checks():
 
 
 def test_failing_powers_after_cube():
-    fp = failing_powers_after_cube(5, 14, 17)
-    assert fp.asserted == {5, 10}
-    assert fp.conjectured == {15}
-    with pytest.raises(ValueError):
-        failing_powers_after_cube(4, 10, 12)
-    with pytest.raises(ValueError):
-        failing_powers_after_cube(5, 4, 12)
+    # The paper's closed form: on the quotient by a cube and s copies of t,
+    # s odd and t >= s, a power b <= t misses maximal rank exactly when s
+    # divides it.  (3, 14^5) fails at 5, 10 and also 15, past t.
+    for s in range(3, 10, 2):
+        for t in range(s, 25):
+            spec = ExponentSpec(3, (3,) + (t,) * s)
+            failing = {b for b in range(1, t + 1) if verdict_for(spec, b).failures}
+            assert failing == set(range(s, t + 1, s)), (s, t)
+    spec = ExponentSpec(3, (3,) + (14,) * 5)
+    assert {b for b in range(1, 18) if verdict_for(spec, b).failures} == {5, 10, 15}
+
+
+def test_slp_checks_are_verdict_for():
+    # The cube-quotient rule asks verdict_for for every power it checks.
+    for s in range(3, 7):
+        for rest in combinations_with_replacement(range(3, 9), s):
+            spec = ExponentSpec(3, (3,) + rest)
+            answer = slp_verdict(spec)
+            assert answer.rule == "cube-quotient"
+            top = peak_degree(ExponentSpec(3, rest))
+            assert list(answer.checks) == [(b, verdict_for(spec, b)) for b in range(3, top + 1)], spec
 
 
 def test_wlp_cube_uniform_4vars():
@@ -277,8 +290,13 @@ def test_verdict_for_dispatch():
     assert _failures(ExponentSpec(3, (2, 3, 4)), 2) == ()
     assert _failures(ExponentSpec(4, (2, 6, 6, 6, 6)), 1) == ()
     assert _failures(ExponentSpec(4, (3, 3, 3, 3, 3)), 1) == ((4, 1),)
-    with pytest.raises(ValueError):
-        verdict_for(ExponentSpec(3, (3, 3, 3, 3)), 4)
+    # Three variables with k >= 4, by exchange of a generator of degree <= 3.
+    assert _failures(ExponentSpec(3, (3, 3, 3, 3)), 4) == ()
+    assert _failures(ExponentSpec(3, (3, 5, 5, 5, 5, 5)), 5) == ((6, 1),)
+    # Below degree k the map has no domain: the exchanged failure in degree 4 is dropped.
+    assert _failures(ExponentSpec(3, (3, 3, 3, 3, 3)), 5) == ()
+    with pytest.raises(ValueError, match="no closed-form verdict"):
+        verdict_for(ExponentSpec(3, (4, 4, 4, 4)), 4)
     # A cube generator with any other powers, by exchange with three variables.
     assert _failures(ExponentSpec(4, (3, 4, 4, 4, 5)), 1) == ()
     assert _failures(ExponentSpec(4, (3, 4, 4, 4)), 1) == ()
