@@ -14,7 +14,7 @@ sample = L.sample_ideal(spec, seed=0)
 
 hd = L.hilbert_function(sample)
 print("exponents:      ", spec.exponents)
-print("hilbert function", list(hd.values), "  regularity", hd.regularity)
+print("hilbert function", list(hd), "  regularity", L.regularity(sample))
 
 for k in (1, 2, 3):
     failures = L.lefschetz_scan(sample, k)

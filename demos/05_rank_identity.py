@@ -16,7 +16,7 @@ from leflab.linsys import dual_system, system_dim
 
 spec = L.ExponentSpec(3, (2, 3, 3, 4))
 sample = L.sample_ideal(spec, seed=1)
-print("exponents", spec.exponents, " hilbert", list(L.hilbert_function(sample).values))
+print("exponents", spec.exponents, " hilbert", list(L.hilbert_function(sample)))
 
 form = random_form(sample.field, 3, np.random.default_rng(5))
 print("\none concrete cube of a random form, degree by degree:")

@@ -15,8 +15,8 @@ duality) bridges the two.
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from .polyring import LinearFormRep, monomial_basis, mult_matrix, power_coords
 from .oracle import (
+    DegreeFailure,
     ExponentSpec,
-    HilbertData,
     IdealSample,
     NonArtinianError,
     PrimeTooSmallError,
@@ -64,8 +64,8 @@ __all__ = [
     "monomial_basis",
     "mult_matrix",
     "power_coords",
+    "DegreeFailure",
     "ExponentSpec",
-    "HilbertData",
     "IdealSample",
     "NonArtinianError",
     "PrimeTooSmallError",

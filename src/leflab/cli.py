@@ -28,6 +28,7 @@ from .oracle import (
     hilbert_function,
     lefschetz_scan,
     mult_rank_report,
+    regularity,
     sample_ideal,
 )
 from . import theory
@@ -117,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_hilbert(args) -> int:
     spec = ExponentSpec(args.vars, args.powers)
     sample = sample_ideal(spec, prime=args.prime, seed=args.seed)
-    hd = hilbert_function(sample)
-    print(_dumps({"hf": list(hd.values), "reg": hd.regularity}))
+    print(_dumps({"hf": hilbert_function(sample), "reg": regularity(sample)}))
     return 0
 
 
@@ -146,8 +146,7 @@ def _cmd_rank(args) -> int:
 def _cmd_scan(args) -> int:
     spec = ExponentSpec(args.vars, args.powers)
     sample = sample_ideal(spec, prime=args.prime, seed=args.seed)
-    failures = lefschetz_scan(sample, args.k, args.trials)
-    print(_dumps({"k": args.k, "failures": [[j, d] for j, d in failures]}))
+    print(_dumps({"k": args.k, "failures": lefschetz_scan(sample, args.k, args.trials)}))
     return 0
 
 
@@ -197,8 +196,8 @@ def _row_json(row) -> dict:
     return {
         "spec": list(row.exponents),
         "k": row.k,
-        "theory_fail": [[j, d] for j, d in row.theory_failures],
-        "oracle_fail": [[j, d] for j, d in row.oracle_failures],
+        "theory_fail": row.theory_failures,
+        "oracle_fail": row.oracle_failures,
         "agree": row.agree,
         "millis": row.millis,
     }
@@ -222,7 +221,7 @@ def _cmd_verify(args) -> int:
     if args.format == "csv":
         print("spec;k;theory_fail_degrees;oracle_fail_degrees;agree;millis")
         for r in rows:
-            fails = [",".join(str(j) for j, _ in f) for f in (r.theory_failures, r.oracle_failures)]
+            fails = [",".join(str(f.degree) for f in fs) for fs in (r.theory_failures, r.oracle_failures)]
             spec = ",".join(str(a) for a in r.exponents)
             print(";".join([spec, str(r.k), *fails, "true" if r.agree else "false", str(r.millis)]))
     else:

@@ -1,10 +1,11 @@
 """Theory-versus-oracle verification sweeps with machine-readable rows.
 
 Each sweep point is one (exponent multiset, power) pair: the closed-form
-engine predicts the failing degrees, the exact oracle scans them, and the
-row records whether the two agree.  A disagreeing point is retried on a
-second prime with more trials before being reported, since a single random
-sample can under-shoot the generic rank but never exceed it.
+engine predicts the failures, the exact oracle scans them, and the row holds
+both as `DegreeFailure` records; the two agree when the records are equal.
+A disagreeing point is retried on a second prime with more trials before
+being reported, since a single random sample can under-shoot the generic
+rank but never exceed it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations_with_replacement
 from typing import Optional
 
 from .modp import DEFAULT_PRIME, PrimeField
-from .oracle import DEFAULT_TRIALS, ExponentSpec, lefschetz_scan, sample_ideal
+from .oracle import DEFAULT_TRIALS, DegreeFailure, ExponentSpec, lefschetz_scan, sample_ideal
 from . import theory
 
 SECOND_PRIME = 2147483629
@@ -33,6 +34,8 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("need k >= 1")
         if not 1 <= len(self.primes) <= 2:
             raise ValueError("need one prime, or two with a retry prime")
         for prime in self.primes:
@@ -50,11 +53,14 @@ class SweepConfig:
 class VerificationRow:
     exponents: tuple[int, ...]
     k: int
-    theory_failures: tuple[tuple[int, int], ...]
-    oracle_failures: tuple[tuple[int, int], ...]
-    agree: bool
+    theory_failures: tuple[DegreeFailure, ...]
+    oracle_failures: tuple[DegreeFailure, ...]
     millis: int
     retried: bool = False
+
+    @property
+    def agree(self) -> bool:
+        return self.theory_failures == self.oracle_failures
 
 
 def enumerate_specs(config: SweepConfig) -> list[ExponentSpec]:
@@ -70,7 +76,7 @@ def enumerate_specs(config: SweepConfig) -> list[ExponentSpec]:
 
 def _oracle_failures(
     spec: ExponentSpec, k: int, prime: int, seed: int, trials: int
-) -> tuple[tuple[int, int], ...]:
+) -> tuple[DegreeFailure, ...]:
     sample = sample_ideal(spec, prime=prime, seed=seed)
     return tuple(lefschetz_scan(sample, k, trials))
 
@@ -80,8 +86,7 @@ def run_verification(config: SweepConfig) -> tuple[list[VerificationRow], dict]:
     rows = []
     for spec in enumerate_specs(config):
         start = time.perf_counter()
-        verdict = theory.verdict_for(spec, config.k)
-        predicted = tuple((f.degree, f.deficiency) for f in verdict.failures)
+        predicted = theory.verdict_for(spec, config.k).failures
         observed = _oracle_failures(spec, config.k, config.primes[0], config.seed, config.trials)
         retried = False
         if observed != predicted and len(config.primes) > 1:
@@ -91,11 +96,7 @@ def run_verification(config: SweepConfig) -> tuple[list[VerificationRow], dict]:
                 spec, config.k, config.primes[1], config.seed + 1, 3 * config.trials
             )
         millis = int(round(1000 * (time.perf_counter() - start)))
-        rows.append(
-            VerificationRow(
-                spec.exponents, config.k, predicted, observed, observed == predicted, millis, retried
-            )
-        )
+        rows.append(VerificationRow(spec.exponents, config.k, predicted, observed, millis, retried))
     disagreements = sum(1 for r in rows if not r.agree)
     summary = {
         "rows": len(rows),

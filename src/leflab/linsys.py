@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
-from .oracle import ExponentSpec, PrimeTooSmallError
+from .oracle import ExponentSpec
 from .polyring import monomial_basis
 
 
@@ -143,33 +143,26 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
     return matrix_rank(DenseMatrix.from_reduced(field, np.vstack(blocks)))
 
 
-def fatpoint_dim(
-    sys: PlaneSystem, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 2
-) -> int:
+def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     """Dimension of the system at general points, via the conditions matrix.
 
     The conditions rank at special points only drops, so the generic
-    dimension is the smallest value over the trials.
+    dimension is the smaller value over two point sets drawn over
+    F_DEFAULT_PRIME; the second is drawn only when the first misses the
+    expected dimension.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     if sys.degree < 0:
         return 0
-    if prime <= 2 * sys.degree:
-        raise PrimeTooSmallError(f"prime {prime} too small for degree {sys.degree}")
-    field = PrimeField(prime)
+    field = PrimeField(DEFAULT_PRIME)
     # The multiplicities go in as (multiplicity, count) pairs: systems that
     # differ only in them draw different points, and the seed stays short.
     runs = [x for m, group in groupby(sys.mults) for x in (m, sum(1 for _ in group))]
-    rng = np.random.default_rng([seed, prime, sys.degree, *runs, 0xFA7])
+    rng = np.random.default_rng([seed, DEFAULT_PRIME, sys.degree, *runs, 0xFA7])
     n_mono = binom(sys.degree + 2, 2)
-    best = None
-    for _ in range(trials):
-        dim = n_mono - _conditions_rank(sys, field, rng)
-        best = dim if best is None else min(best, dim)
-        if best == expected_dim(sys):
-            break
-    return best
+    dim = n_mono - _conditions_rank(sys, field, rng)
+    if dim != expected_dim(sys):
+        dim = min(dim, n_mono - _conditions_rank(sys, field, rng))
+    return dim
 
 
 @dataclass(frozen=True)

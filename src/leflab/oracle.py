@@ -28,6 +28,8 @@ forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
 The standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
 stays in the full ring as an independent check.
+`hilbert_function` is the plain tuple of quotient dimensions, `regularity`
+its length minus one, and `lefschetz_scan` a list of `DegreeFailure` records.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,15 +152,16 @@ class RankReport:
         return min(self.dim_domain, self.dim_codomain) - self.rank
 
 
-@dataclass(frozen=True)
-class HilbertData:
-    """Quotient dimensions from degree 0 through the socle degree."""
+class DegreeFailure(NamedTuple):
+    """A degree where multiplication by L^k misses maximal rank, and by how much.
 
-    values: tuple[int, ...]
+    `deficiency` is min(dim domain, dim codomain) - rank in that degree.  The
+    oracle's scans, the theory engine's verdicts and the verification rows
+    all hold failures in this one shape.
+    """
 
-    @property
-    def regularity(self) -> int:
-        return len(self.values) - 1
+    degree: int
+    deficiency: int
 
 
 def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> LinearFormRep:
@@ -301,8 +305,8 @@ def quotient_dim(sample: IdealSample, j: int) -> int:
     return graded_dim(sample.spec.num_vars, j) - ideal_piece_dim(sample, j)
 
 
-def hilbert_function(sample: IdealSample) -> HilbertData:
-    """All quotient dimensions through the first zero (the quotient is artinian)."""
+def hilbert_function(sample: IdealSample) -> tuple[int, ...]:
+    """Quotient dimensions from degree 0 up to the first zero (the quotient is artinian)."""
     spec = sample.spec
     if not spec.is_artinian:
         raise NonArtinianError(f"{spec.s} forms in {spec.num_vars} variables is not artinian")
@@ -312,14 +316,14 @@ def hilbert_function(sample: IdealSample) -> HilbertData:
     for j in range(bound + 2):
         h = quotient_dim(sample, j)
         if h == 0:
-            return HilbertData(tuple(values))
+            return tuple(values)
         values.append(h)
     raise AssertionError("quotient did not vanish below the complete-intersection bound")
 
 
 def regularity(sample: IdealSample) -> int:
     """Last degree with a nonzero quotient component."""
-    return hilbert_function(sample).regularity
+    return len(hilbert_function(sample)) - 1
 
 
 def _trial_rng(sample: IdealSample, k: int) -> np.random.Generator:
@@ -362,17 +366,17 @@ def mult_rank_report(
 
 def lefschetz_scan(
     sample: IdealSample, k: int, trials: int = DEFAULT_TRIALS
-) -> list[tuple[int, int]]:
+) -> list[DegreeFailure]:
     """Degrees where multiplication by a general k-th power misses maximal rank.
 
     Scans j from k through the regularity (the codomain is 0 past it); an
-    empty list certifies maximal rank.  Entries are (degree, min(dim domain,
-    dim codomain) - rank).  Raises ValueError unless k >= 1 and trials >= 1.
+    empty list certifies maximal rank.  Raises ValueError unless k >= 1 and
+    trials >= 1.
     """
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1, trials >= 1")
     reports = (mult_rank_report(sample, k, j, trials) for j in range(k, regularity(sample) + 1))
-    return [(rep.j, rep.deficiency) for rep in reports if rep.deficiency > 0]
+    return [DegreeFailure(rep.j, rep.deficiency) for rep in reports if rep.deficiency > 0]
 
 
 def standard_monomials(sample: IdealSample, j: int) -> tuple[DenseMatrix, tuple[int, ...], tuple[int, ...]]:

@@ -11,7 +11,9 @@ three-variable classifications, by one exchange of the smallest exponent
 with L^k (see `verdict_for`).  `verdict_for` (a k-th power map) and
 `slp_verdict` (the SLP or WLP, asking `verdict_for` for each power) pick the
 closed form that answers a spec, or raise ValueError; the CLI and the
-verification harness go through them.
+verification harness go through them.  Failures are the oracle's
+`DegreeFailure(degree, deficiency)` records, so a verdict compares with a
+scan as it is.
 """
 
 from __future__ import annotations
@@ -19,22 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .oracle import ExponentSpec, NonArtinianError
+from .oracle import DegreeFailure, ExponentSpec, NonArtinianError
 
 MAXIMAL = "maximal-everywhere"
 FAILS = "fails"
-
-
-@dataclass(frozen=True)
-class DegreeFailure:
-    degree: int
-    kernel_dim: Optional[int]
-    cokernel_dim: Optional[int]
-
-    @property
-    def deficiency(self) -> int:
-        known = [d for d in (self.kernel_dim, self.cokernel_dim) if d is not None]
-        return min(known)
 
 
 @dataclass(frozen=True)
@@ -67,17 +57,16 @@ def peak_degree(spec: ExponentSpec) -> int:
 
     This is the turning degree of the Hilbert function: multiplication by a
     general linear form is injective into degrees <= peak and surjective onto
-    degrees >= peak+1.  Needs at least two exponents to be finite.
+    degrees >= peak+1.  line_condition_sum(spec, j) - j is convex and 0 at
+    j = 0, so the j satisfying the inequality run from 0 to the peak, and a
+    walk up from 0 finds it.  Needs at least two exponents to be finite.
     """
     if spec.s < 2:
         raise ValueError("peak degree needs at least two exponents")
-    total = sum(spec.exponents)
-    upper = max(max(spec.exponents), (total - spec.s) // (spec.s - 1)) + 1
-    best = 0
-    for j in range(upper + 1):
-        if line_condition_sum(spec, j) <= j:
-            best = j
-    return best
+    j = 0
+    while line_condition_sum(spec, j + 1) <= j + 1:
+        j += 1
+    return j
 
 
 def _reject_non_artinian_3vars(spec: ExponentSpec) -> None:
@@ -100,9 +89,10 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
     degree peak+2.  It does so exactly when the number of exponents at most
     peak+1 equals nu = peak + 2 - line_condition_sum(spec, peak), nu is even
     and at least four, and no exponent equals peak+2.  In the failing degree
-    the kernel and cokernel are both one-dimensional and the domain and
-    codomain have equal dimension.  Three forms never fail (m + n <= 3), nor
-    does a linear generator: line_condition_sum(spec, j) >= j, so nu = 2.
+    the domain and codomain have equal dimension (the `equal_dims_*`
+    witness), so the kernel and cokernel are both one-dimensional and the
+    deficiency is 1.  Three forms never fail (m + n <= 3), nor does a linear
+    generator: line_condition_sum(spec, j) >= j, so nu = 2.
     """
     _reject_non_artinian_3vars(spec)
     exps = spec.exponents
@@ -116,7 +106,7 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
         return Verdict(witness=witness)
     witness["equal_dims_low"] = p - 1
     witness["equal_dims_high"] = p + 2
-    return Verdict((DegreeFailure(p + 2, 1, 1),), witness)
+    return Verdict((DegreeFailure(p + 2, 1),), witness)
 
 
 def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
@@ -132,7 +122,7 @@ def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
     if s % 2 == 1 or t % (s - 1) != 0:
         return Verdict()
     j = s * t // (s - 1)
-    return Verdict((DegreeFailure(j, None, 1),))
+    return Verdict((DegreeFailure(j, 1),))
 
 
 def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
@@ -147,16 +137,19 @@ def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
     ring is the three-variable quotient by the restricted forms, which are
     general again; for k >= 4 (three variables) it is the quotient by rest
     with k adjoined.  Either way the square (a_1 <= 2) or cube (a_1 = 3)
-    classification answers it.  The identity fixes only the cokernel, so the
-    failures carry no kernel dimension, and below degree k the domain is
-    zero, so x L^k has maximal rank there whatever the cokernel.
+    classification answers it.  The identity fixes only the cokernel, and
+    below degree k the domain is zero, so x L^k has maximal rank there
+    whatever the cokernel; the exchanged failures in degrees >= k are kept
+    as they are.
     Provenance by a_1: for a_1 = 1 the quotient is in two variables; for
     a_1 = 2 the answer, maximal rank, is the paper's result for a quadratic
     generator; for a_1 = 3 the paper's cube criterion names the failing
     powers, and that x L^k fails in exactly the degrees where x L_1^3 does,
-    with deficiency equal to the cokernel, is checked by oracle sweeps, not
-    proved here.  Every other case raises ValueError.
+    with the same deficiency, is checked by oracle sweeps, not proved here.
+    Raises ValueError for k < 1 and for every other case.
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     if spec.num_vars == 3 and k in (1, 2):
         return classify_square(spec)
     if spec.num_vars == 3 and k == 3:
@@ -165,8 +158,7 @@ def verdict_for(spec: ExponentSpec, k: int) -> Verdict:
     four_vars_wlp = spec.num_vars == 4 and k == 1 and spec.s >= 4
     if a <= 3 and (four_vars_wlp or (spec.num_vars == 3 and k >= 4)):
         exchanged = verdict_for(ExponentSpec(3, rest if k == 1 else rest + (k,)), a)
-        kept = (f for f in exchanged.failures if f.degree >= k)
-        return Verdict(tuple(DegreeFailure(f.degree, None, f.cokernel_dim) for f in kept))
+        return Verdict(tuple(f for f in exchanged.failures if f.degree >= k))
     raise ValueError(f"no closed-form verdict for k={k}, exponents {spec.exponents} in {spec.num_vars} variables")
 
 

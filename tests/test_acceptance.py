@@ -30,12 +30,12 @@ def test_criterion_01_golden_case_four_cubes():
     rep = L.mult_rank_report(sample, 3, 4)
     failures = L.lefschetz_scan(sample, 3)
     ok = (
-        list(hd.values) == [1, 3, 6, 6, 3]
+        hd == (1, 3, 6, 6, 3)
         and (rep.rank, rep.kernel_dim, rep.cokernel_dim) == (2, 1, 1)
         and failures == [(4, 1)]
     )
     _verdict(1, "golden case (3,3,3,3)", ok, time.perf_counter() - t0, 1.0,
-             f"hf={list(hd.values)} rank={rep.rank} failures={failures}")
+             f"hf={list(hd)} rank={rep.rank} failures={failures}")
 
 
 def test_criterion_02_square_maximal_rank_sweep():
@@ -63,8 +63,8 @@ def test_criterion_03_cube_classification_sweep():
             spec = L.ExponentSpec(3, combo)
             sample = L.sample_ideal(spec)
             verdict = theory.classify_cube(spec)
-            predicted = [(f.degree, 1) for f in verdict.failures]
-            observed = L.lefschetz_scan(sample, 3)
+            predicted = verdict.failures
+            observed = tuple(L.lefschetz_scan(sample, 3))
             if observed != predicted:
                 bad.append((combo, observed, predicted))
                 continue
@@ -73,7 +73,7 @@ def test_criterion_03_cube_classification_sweep():
                 p = verdict.witness["peak"]
                 hd = L.hilbert_function(sample)
                 rep = L.mult_rank_report(sample, 3, p + 2)
-                if hd.values[p - 1] != hd.values[p + 2]:
+                if hd[p - 1] != hd[p + 2]:
                     bad.append((combo, "domain/codomain dims differ"))
                 if rep.cokernel_dim != 1 or rep.kernel_dim != 1:
                     bad.append((combo, "kernel/cokernel not one", rep))
@@ -179,17 +179,17 @@ def test_criterion_09_failing_powers_instance():
     reg = L.regularity(sample)
     observed = {}
     for b in range(3, 15):
-        failures = L.lefschetz_scan(sample, b, trials=2)
+        failures = tuple(L.lefschetz_scan(sample, b, trials=2))
         if failures:
             observed[b] = failures
-    conjecture_scan = L.lefschetz_scan(sample, 15, trials=2)
-    predicted = {b: [(f.degree, f.deficiency) for f in theory.verdict_for(spec, b).failures] for b in range(3, 16)}
+    conjecture_scan = tuple(L.lefschetz_scan(sample, 15, trials=2))
+    predicted = {b: theory.verdict_for(spec, b).failures for b in range(3, 16)}
     ok = (
         reg == 17
         and set(observed) == {5, 10}
-        and predicted == {b: observed.get(b, []) for b in range(3, 15)} | {15: conjecture_scan}
-        and all(len(f) == 1 and f[0][1] == 1 for f in observed.values())
-        and len(conjecture_scan) == 1 and conjecture_scan[0][1] == 1
+        and predicted == {b: observed.get(b, ()) for b in range(3, 15)} | {15: conjecture_scan}
+        and all(len(f) == 1 and f[0].deficiency == 1 for f in observed.values())
+        and len(conjecture_scan) == 1 and conjecture_scan[0].deficiency == 1
     )
     _verdict(9, "failing powers for (3,14^5)", ok, time.perf_counter() - t0, 300.0,
              f"reg={reg} failing={observed} conjectured_b15={conjecture_scan}")

@@ -383,6 +383,9 @@ def test_sweep_config_validation():
         SweepConfig(primes=(2147483647, 2147483629, 2147483587))
     with pytest.raises(ValueError):
         SweepConfig(trials=0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            SweepConfig(k=k)
     with pytest.raises(ValueError):
         SweepConfig(s_range=(5, 4))
     # Every prime is checked up front, the retry prime included.
@@ -408,3 +411,15 @@ def test_empty_specs_flag_gives_empty_report(capsys):
     empty = '{"rows":[],"summary":{"rows":0,"agreements":0,"disagreements":0}}\n'
     for specs in ("", ";"):
         assert run_cli(capsys, "verify", "--specs", specs) == (0, empty, ""), specs
+
+
+def test_verify_and_classify_refuse_k_below_one(capsys):
+    # A usage error before any spec is read: even an empty sweep is refused,
+    # and a spec does not turn it into "no closed-form verdict".
+    for argv in (
+        ("verify", "--specs", "", "--k", "0"),
+        ("verify", "--specs", "3,3,3,3", "--k", "0"),
+        ("verify", "--k", "-2"),
+        ("classify", "--powers", "3,3,3,3", "--k", "0"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", "error: need k >= 1\n"), argv

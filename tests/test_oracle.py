@@ -162,14 +162,11 @@ def test_quotient_dim_single_power_closed_form():
 
 def test_hilbert_function_cases():
     s = sample_ideal(ExponentSpec(3, (2, 2, 2)))
-    hd = hilbert_function(s)
-    assert list(hd.values) == [1, 3, 3, 1]
-    assert hd.regularity == 3
+    assert hilbert_function(s) == (1, 3, 3, 1)
+    assert regularity(s) == 3
 
     s = sample_ideal(ExponentSpec(3, (3, 3, 3, 3)))
-    hd = hilbert_function(s)
-    assert list(hd.values) == [1, 3, 6, 6, 3]
-    assert hd.regularity == 4
+    assert hilbert_function(s) == (1, 3, 6, 6, 3)
     assert regularity(s) == 4
 
 
@@ -407,8 +404,8 @@ def test_higher_powers_by_exchange_match_oracle():
             spec = ExponentSpec(3, exps)
             sample = sample_ideal(spec)
             for k in range(4, 8):
-                want = [(f.degree, f.deficiency) for f in verdict_for(spec, k).failures]
-                assert lefschetz_scan(sample, k, trials=2) == want, (exps, k)
+                want = verdict_for(spec, k).failures
+                assert tuple(lefschetz_scan(sample, k, trials=2)) == want, (exps, k)
                 failing += bool(want)
     assert failing == 13
 
@@ -421,7 +418,7 @@ def test_results_stable_across_primes():
     spec = ExponentSpec(3, (3, 3, 3, 3))
     first = sample_ideal(spec, seed=11)
     second = sample_ideal(spec, prime=SECOND_PRIME, seed=11)
-    assert hilbert_function(first).values == hilbert_function(second).values
+    assert hilbert_function(first) == hilbert_function(second)
     assert lefschetz_scan(first, 3) == lefschetz_scan(second, 3) == [(4, 1)]
 
 
@@ -469,7 +466,7 @@ def test_ci_frame_skips_dependent_first_forms():
     frame = sample.frame
     assert frame.caps == (2, 2, 3)
     assert frame.rest == ((LinearFormRep((1, 1, 0)), 2),)
-    assert hilbert_function(sample).values == (1, 3, 3, 2)
+    assert hilbert_function(sample) == (1, 3, 3, 2)
     for j in range(0, 7):
         assert ideal_piece_dim(sample, j) == full_ring_ideal_dim(sample, j)
 
@@ -705,7 +702,7 @@ def test_frames_eliminate_nothing(monkeypatch):
         [[], [(4, 1)], []],
         [[], [], []],
     ]
-    assert hilbert_function(artinian[3]).values == (1, 3, 3, 2)
+    assert hilbert_function(artinian[3]) == (1, 3, 3, 2)
     rng = np.random.default_rng(11)
     drops = [
         (sample, form, k, j, rank_with_form(sample, form, k, j))

@@ -47,6 +47,9 @@ def test_peak_degree_defining_inequalities(exps):
     assert count_partial_sum(spec, p) <= p
     assert count_partial_sum(spec, p + 1) >= p + 2
     assert count_at_most(spec, p + 1) > 0
+    # The largest such j: the walk up from 0 stops at the first miss, and no
+    # later degree satisfies the inequality again.
+    assert all(count_partial_sum(spec, j) > j for j in range(p + 1, p + 41))
 
 
 @given(exponent_lists, st.integers(min_value=1, max_value=25))
@@ -96,7 +99,8 @@ def test_classify_square_always_maximal():
 def test_classify_cube_examples():
     v = classify_cube(ExponentSpec(3, (3, 3, 3, 3)))
     assert v.status == FAILS and v.failing_degrees == (4,)
-    assert v.failures[0].kernel_dim == 1 and v.failures[0].cokernel_dim == 1
+    # Equal dimensions in the failing degree, so kernel = cokernel = deficiency = 1.
+    assert v.failures[0].deficiency == 1
     assert v.witness["equal_dims_low"] == 1 and v.witness["equal_dims_high"] == 4
 
     assert classify_cube(ExponentSpec(3, (2, 3, 4, 5, 6))).status == MAXIMAL
@@ -249,7 +253,7 @@ def test_slp_checks_are_verdict_for():
 def test_wlp_cube_uniform_4vars():
     v = wlp_cube_uniform_4vars(4, 3)
     assert v.status == FAILS and v.failing_degrees == (4,)
-    assert v.failures[0].cokernel_dim == 1
+    assert v.failures[0].deficiency == 1
     for t in range(3, 12):
         assert wlp_cube_uniform_4vars(5, t).status == MAXIMAL
     v = wlp_cube_uniform_4vars(6, 5)
@@ -263,25 +267,41 @@ def test_wlp_cube_uniform_4vars_is_verdict_for():
         for t in range(3, 21):
             spec = ExponentSpec(4, (3,) + (t,) * s)
             verdict = verdict_for(spec, 1)
-            assert verdict.failing_degrees == wlp_cube_uniform_4vars(s, t).failing_degrees, (s, t)
-            assert all(f.kernel_dim is None and f.cokernel_dim == 1 for f in verdict.failures), (s, t)
+            assert verdict.failures == wlp_cube_uniform_4vars(s, t).failures, (s, t)
+            assert all(f.deficiency == 1 for f in verdict.failures), (s, t)
             assert slp_verdict(spec).rule == "cube-uniform"
 
 
 def test_verdict_validation():
     # The status follows the failures both ways, so no verdict contradicts itself.
-    from leflab.theory import DegreeFailure, Verdict
+    from leflab.oracle import DegreeFailure
+    from leflab.theory import Verdict
 
     assert Verdict().status == MAXIMAL
     assert Verdict(witness={"peak": 4}).status == MAXIMAL
-    failing = Verdict((DegreeFailure(4, 1, 1),))
+    failing = Verdict((DegreeFailure(4, 1),))
     assert failing.status == FAILS and failing.failing_degrees == (4,)
     with pytest.raises(AttributeError):
         failing.status = MAXIMAL
 
 
+def test_verification_row_agree_follows_failures():
+    # A row stores both sides' failures and derives agreement from them.
+    from leflab.harness import VerificationRow
+    from leflab.oracle import DegreeFailure
+
+    fail = (DegreeFailure(4, 1),)
+    assert VerificationRow((3, 3, 3, 3), 3, fail, fail, 0).agree
+    assert not VerificationRow((3, 3, 3, 3), 3, fail, (), 0).agree
+    assert not VerificationRow((3, 3, 3, 3), 3, fail, (DegreeFailure(4, 2),), 0).agree
+    row = VerificationRow((3, 3, 3, 3), 3, (), (), 0)
+    assert row.agree
+    with pytest.raises(AttributeError):
+        row.agree = False
+
+
 def _failures(spec, k):
-    return tuple((f.degree, f.deficiency) for f in verdict_for(spec, k).failures)
+    return verdict_for(spec, k).failures
 
 
 def test_verdict_for_dispatch():
@@ -297,6 +317,10 @@ def test_verdict_for_dispatch():
     assert _failures(ExponentSpec(3, (3, 3, 3, 3, 3)), 5) == ()
     with pytest.raises(ValueError, match="no closed-form verdict"):
         verdict_for(ExponentSpec(3, (4, 4, 4, 4)), 4)
+    # Powers below 1 are refused as such, not as an uncovered spec.
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            verdict_for(ExponentSpec(3, (3, 3, 3, 3)), k)
     # A cube generator with any other powers, by exchange with three variables.
     assert _failures(ExponentSpec(4, (3, 4, 4, 4, 5)), 1) == ()
     assert _failures(ExponentSpec(4, (3, 4, 4, 4)), 1) == ()
