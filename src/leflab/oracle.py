@@ -22,7 +22,8 @@ A trial form is one more generator: the cokernel of multiplication by L^k on
 R/I is R/(I, L^k), so `rank_with_form` is a difference of two
 `ideal_piece_dim` values, of the sample and of the sample with L^k adjoined,
 whose frame is one more exact exchange step.  Trial forms are drawn per
-(sample, k), so a scan reuses each trial's powers in every degree.
+(sample, k) and adjoined once per trial (`_trial_sample`), so a scan reuses
+each trial's adjoined sample, frame and powers in every degree.
 `sample_ideal` tests general position on its candidate's frame: any r of the
 forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
@@ -100,6 +101,7 @@ class IdealSample:
     Unless given, it takes one `_exchange` step per form from the identity in
     exponent order, so a form independent of the earlier ones replaces a free
     variable, and a dependent one never displaces a cap and joins `rest`.
+    The hash is computed once: samples key `ideal_piece_dim` in every degree.
     """
 
     spec: ExponentSpec
@@ -109,12 +111,16 @@ class IdealSample:
     frame: CIFrame = dc_field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.spec, self.forms, self.field, self.seed)))
         if self.frame is None:
             r, p = self.spec.num_vars, self.field.modulus
             frame = CIFrame(tuple(tuple(int(i == m) for i in range(r)) for m in range(r)), (None,) * r, ())
             for form, a in zip(self.forms, self.spec.exponents):
                 frame = _exchange(frame, form, a, p)
             object.__setattr__(self, "frame", frame)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def adjoin_form(self, form: LinearFormRep, power: int) -> "IdealSample":
         """The sample with form**power adjoined, framed by one more (exact) exchange step."""
@@ -327,11 +333,33 @@ def regularity(sample: IdealSample) -> int:
 
 
 def _trial_rng(sample: IdealSample, k: int) -> np.random.Generator:
-    """The trial forms of power k: the t-th one is the same in every degree."""
+    """The stream of trial forms of power k, drawn once per (sample, k).
+
+    `_trial_sample` adjoins its t-th draw once, so the t-th trial form is
+    the same in every degree.
+    """
     spec = sample.spec
     return np.random.default_rng(
         [sample.seed, sample.field.modulus, spec.num_vars, *spec.exponents, k, 0x1EF1AB]
     )
+
+
+# Bounded: a scan asks about one (sample, k) in every degree, so one live key
+# suffices; `verify --a-max 8` makes 1,531 keys, each used by one scan.  The
+# value is mutable on purpose: the list of adjoined trial samples grows, in
+# draw order, as a degree asks for a later trial.
+@lru_cache(maxsize=16)
+def _trial_draws(sample: IdealSample, k: int) -> tuple[np.random.Generator, list[IdealSample]]:
+    return _trial_rng(sample, k), []
+
+
+def _trial_sample(sample: IdealSample, k: int, t: int) -> IdealSample:
+    """The sample with its t-th trial form's k-th power adjoined, built once."""
+    rng, adjoined = _trial_draws(sample, k)
+    while len(adjoined) <= t:
+        form = random_form(sample.field, sample.spec.num_vars, rng)
+        adjoined.append(sample.adjoin_form(form, k))
+    return adjoined[t]
 
 
 def rank_with_form(sample: IdealSample, form: LinearFormRep, k: int, j: int) -> int:
@@ -349,17 +377,17 @@ def mult_rank_report(
     """Rank of multiplication by a general k-th power from degree j-k to degree j.
 
     The rank over a random form is at most the generic rank, so the report
-    takes the maximum over up to `trials` independent choices.
+    takes the maximum over up to `trials` independent choices.  Each rank is
+    `rank_with_form`'s dimension drop, on the trial's adjoined sample.
     """
     if k < 1 or j < k or trials < 1:
         raise ValueError("need k >= 1, j >= k, trials >= 1")
     dom = quotient_dim(sample, j - k)
     cod = quotient_dim(sample, j)
-    rng = _trial_rng(sample, k)
+    ideal_dim = ideal_piece_dim(sample, j)
     rank, used = 0, 0
     while used < trials and rank < min(dom, cod):
-        form = random_form(sample.field, sample.spec.num_vars, rng)
-        rank = max(rank, rank_with_form(sample, form, k, j))
+        rank = max(rank, ideal_piece_dim(_trial_sample(sample, k, used), j) - ideal_dim)
         used += 1
     return RankReport(k, j, dom, cod, rank, used)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def graded_dim(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-# Unbounded: keyed by shapes, not samples; 44 entries after `verify --a-max 8`.
+# Unbounded: keyed by shapes, not samples; 37 entries after `verify --a-max 8`.
 @lru_cache(maxsize=None)
 def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
     """map[t, c]: target-basis row of (term t of degree f_degree) * (source monomial c).
@@ -81,26 +81,35 @@ def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
     return out
 
 
-def power_coords(field_: PrimeField, form: LinearFormRep, a: int) -> np.ndarray:
-    """Coordinates of form**a, built by repeated multiplication.
+# Unbounded: keyed by shapes, not samples; one entry per (variables, power,
+# prime), 7 after `verify --a-max 8`.
+@lru_cache(maxsize=None)
+def _multinomials(num_vars: int, a: int, p: int) -> np.ndarray:
+    """a! / prod(e_i!) mod p for each row e of the degree-a monomial basis."""
+    rows = monomial_basis(num_vars, a).tolist()
+    out = np.array([factorial(a) // prod(map(factorial, row)) % p for row in rows], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
-    Iterating one degree at a time keeps every intermediate inside field
-    arithmetic; no multinomial coefficients are ever formed.
+
+def power_coords(field_: PrimeField, form: LinearFormRep, a: int) -> np.ndarray:
+    """Coordinates of form**a by the multinomial theorem.
+
+    The coefficient at x^e is a!/prod(e_i!) * prod(c_i^e_i), the integer
+    expansion reduced mod p, so it is exact for every prime, a >= p included.
+    Each factor is reduced below p < 2^31, so every product fits in int64.
     """
     if a < 1:
         raise ValueError("power must be >= 1")
     p = field_.modulus
     r = form.num_vars
-    coeffs = [c % p for c in form.coeffs]
-    vec = np.array(coeffs, dtype=np.int64)
-    for d in range(1, a):
-        step = _index_map(r, 1, d + 1)
-        out = np.zeros(graded_dim(r, d + 1), dtype=np.int64)
-        for var, c in enumerate(coeffs):
-            if c:
-                # Rows of step[var] are distinct and each sum stays below r*p.
-                out[step[var]] += vec * c % p
-        vec = out % p
+    exps = monomial_basis(r, a)
+    vec = _multinomials(r, a, p)
+    for var, c in enumerate(form.coeffs):
+        powers = [1]
+        for _ in range(a):
+            powers.append(powers[-1] * c % p)
+        vec = vec * np.array(powers, dtype=np.int64)[exps[:, var]] % p
     return vec
 
 

@@ -542,17 +542,47 @@ def test_trial_form_rank_matches_quotient_matrix(case):
 
 
 def test_scan_draws_one_first_trial_form_per_power(monkeypatch):
-    # The t-th trial form of a power is the same in every degree.
-    drawn = {}
+    # A cold scan adjoins each trial form once, however many degrees it
+    # covers, and the t-th adjoined form is the t-th draw of the power's
+    # stream.  Degree 5 fails, so there every trial is used.
+    sample = sample_ideal(ExponentSpec(3, (3, 4, 4, 4)), seed=5)
+    adjoin, adjoined = IdealSample.adjoin_form, []
+    trial_rng, streams = oracle._trial_rng, []
 
-    def spy(sample, form, k, j):
-        drawn.setdefault(j, form)
-        return rank_with_form(sample, form, k, j)
+    def counting_adjoin(self, form, power):
+        adjoined.append((self, form, power))
+        return adjoin(self, form, power)
 
-    monkeypatch.setattr(oracle, "rank_with_form", spy)
-    lefschetz_scan(sample_ideal(ExponentSpec(3, (3, 3, 3, 3)), seed=5), 2)
-    assert len(drawn) > 1
-    assert len(set(drawn.values())) == 1
+    def counting_rng(*args):
+        streams.append(args)
+        return trial_rng(*args)
+
+    monkeypatch.setattr(IdealSample, "adjoin_form", counting_adjoin)
+    monkeypatch.setattr(oracle, "_trial_rng", counting_rng)
+    oracle._trial_draws.cache_clear()
+    k, trials = 3, 2
+    assert lefschetz_scan(sample, k, trials) == [(5, 1)]
+    assert regularity(sample) - k + 1 > trials
+    assert streams == [(sample, k)]
+    assert len(adjoined) == trials
+    rng = trial_rng(sample, k)
+    assert adjoined == [(sample, random_form(sample.field, 3, rng), k) for _ in range(trials)]
+
+
+def test_sample_hash_is_cached_and_frame_free():
+    # Equal samples built apart hash equal, so either one finds the other's
+    # cached pieces; a frame given explicitly changes neither equality nor hash.
+    spec = ExponentSpec(3, (3, 3, 4, 4))
+    a, b = sample_ideal(spec, seed=7), sample_ideal(spec, seed=7)
+    assert a is not b and a == b and hash(a) == hash(b)
+    ideal_piece_dim.cache_clear()
+    ideal_piece_dim(a, 5)
+    ideal_piece_dim(b, 5)
+    info = ideal_piece_dim.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    adjoined = a.adjoin_form(random_form(a.field, 3, np.random.default_rng(2)), 2)
+    plain = IdealSample(adjoined.spec, adjoined.forms, adjoined.field, adjoined.seed)
+    assert adjoined == plain and hash(adjoined) == hash(plain)
 
 
 def test_cold_scan_power_coords_do_not_grow_with_degrees(monkeypatch):

@@ -18,8 +18,8 @@ from leflab.polyring import (
 F = PrimeField()
 
 
-def reference_mult(num_vars, f_coords, f_degree, target_degree):
-    """Brute-force multiplication matrix through a dict of exponent tuples."""
+def reference_mult(num_vars, f_coords, f_degree, target_degree, p=F.modulus):
+    """Brute-force multiplication matrix through a dict of exponent tuples, mod p."""
     terms = [tuple(e) for e in monomial_basis(num_vars, f_degree).tolist()]
     sources = [tuple(e) for e in monomial_basis(num_vars, target_degree - f_degree).tolist()]
     rows = {tuple(e): i for i, e in enumerate(monomial_basis(num_vars, target_degree).tolist())}
@@ -27,7 +27,7 @@ def reference_mult(num_vars, f_coords, f_degree, target_degree):
     for col, m in enumerate(sources):
         for t, c in zip(terms, f_coords):
             row = rows[tuple(a + b for a, b in zip(m, t))]
-            out[row, col] = (int(out[row, col]) + int(c)) % F.modulus
+            out[row, col] = (int(out[row, col]) + int(c)) % p
     return out
 
 
@@ -115,6 +115,29 @@ def test_power_built_incrementally():
     for d in range(2, 5):
         step = reference_mult(3, step, d, d + 1) @ np.array(form.coeffs, dtype=object) % F.modulus
     assert direct.tolist() == step.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_power_matches_repeated_multiplication(data):
+    # Over 5 and 7 the multinomials of a >= p vanish in part mod p.
+    p = data.draw(st.sampled_from((5, 7, F.modulus)), label="p")
+    r = data.draw(st.integers(2, 6), label="num_vars")
+    a = data.draw(st.integers(1, 12), label="a")
+    coeff = st.one_of(st.just(0), st.integers(-3 * p, 3 * p))
+    coeffs = data.draw(st.lists(coeff, min_size=r, max_size=r).filter(lambda c: any(x % p for x in c)), label="coeffs")
+    form = np.array(coeffs, dtype=object)
+    expected = form % p
+    for d in range(1, a):
+        expected = reference_mult(r, expected, d, d + 1, p) @ form % p
+    assert power_coords(PrimeField(p), LinearFormRep(tuple(coeffs)), a).tolist() == expected.tolist()
+
+
+def test_power_mod_small_prime_at_and_past_p():
+    # (x + y)^5 = x^5 + y^5 over F_5; past p, (x + y)^6 = (x^5 + y^5)(x + y).
+    f5 = PrimeField(5)
+    assert power_coords(f5, LinearFormRep((1, 1)), 5).tolist() == [1, 0, 0, 0, 0, 1]
+    assert power_coords(f5, LinearFormRep((1, 1)), 6).tolist() == [1, 1, 0, 0, 0, 1, 1]
 
 
 def test_mult_matrix_by_x_in_two_vars():
