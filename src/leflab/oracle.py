@@ -21,9 +21,10 @@ joins them.
 A trial form is one more generator: the cokernel of multiplication by L^k on
 R/I is R/(I, L^k), so `rank_with_form` is a difference of two
 `ideal_piece_dim` values, of the sample and of the sample with L^k adjoined,
-whose frame is one more exact exchange step.  Trial forms are drawn per
-(sample, k) and adjoined once per trial (`_trial_sample`), so a scan reuses
-each trial's adjoined sample, frame and powers in every degree.
+whose frame is one more exact exchange step.  So a scan is two Hilbert
+functions: h of R/I, and g of R/(I, L^k) for its first trial form, adjoined
+once; the rank into degree j is h[j] - g[j].  Only the degrees where that
+rank is short go to `mult_rank_report`, which tries further forms there.
 `sample_ideal` tests general position on its candidate's frame: any r of the
 forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
@@ -38,6 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import takewhile
 from operator import mul
 from typing import NamedTuple
 
@@ -191,10 +193,11 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
             return sample
 
 
-# Bounded: a frame's remaining forms recur in every degree, and an adjoined
-# trial sample's one exchange step gives the same ones in each degree of a scan.
-# A cold scan needs 23 live keys at most as measured ((18,)*10 in 3 variables,
-# k = 3): more than a 10x margin.
+# Bounded: a frame's remaining forms recur in every degree, and a trial form
+# adjoined again gives equal ones.  A cold scan needs s - r + 1 live keys, and
+# at most trials * (s - r + 1) when two degrees are short: 8 as measured for
+# (18,)*10 in 3 variables (k = 3) and (7,)*5 in 4 (k = 1), 5 trials each; a
+# 32x margin.
 @lru_cache(maxsize=256)
 def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
     vec = power_coords(field, form, power)
@@ -280,8 +283,9 @@ def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     return rows
 
 
-# Bounded: a cold scan needs about twice its degree count in live keys, 99 at
-# most as measured ((30,)*6 in 3 variables, k <= 2, 5 trials): a 10x margin.
+# Bounded: a cold scan rereads the sample's pieces at its short degrees, so it
+# needs about its degree count in live keys, 53 at most as measured ((30,)*6 in
+# 3 variables, k = 3, 5 trials; none for k <= 2): a 19x margin.
 @lru_cache(maxsize=1024)
 def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     """dim of the degree-j piece of the ideal for this sample, in its frame.
@@ -333,33 +337,15 @@ def regularity(sample: IdealSample) -> int:
 
 
 def _trial_rng(sample: IdealSample, k: int) -> np.random.Generator:
-    """The stream of trial forms of power k, drawn once per (sample, k).
+    """The stream of trial forms of power k for the sample, in every degree.
 
-    `_trial_sample` adjoins its t-th draw once, so the t-th trial form is
-    the same in every degree.
+    Its t-th draw is the t-th trial form of `mult_rank_report` in any degree,
+    and its first draw is the form that `lefschetz_scan` adjoins.
     """
     spec = sample.spec
     return np.random.default_rng(
         [sample.seed, sample.field.modulus, spec.num_vars, *spec.exponents, k, 0x1EF1AB]
     )
-
-
-# Bounded: a scan asks about one (sample, k) in every degree, so one live key
-# suffices; `verify --a-max 8` makes 1,531 keys, each used by one scan.  The
-# value is mutable on purpose: the list of adjoined trial samples grows, in
-# draw order, as a degree asks for a later trial.
-@lru_cache(maxsize=16)
-def _trial_draws(sample: IdealSample, k: int) -> tuple[np.random.Generator, list[IdealSample]]:
-    return _trial_rng(sample, k), []
-
-
-def _trial_sample(sample: IdealSample, k: int, t: int) -> IdealSample:
-    """The sample with its t-th trial form's k-th power adjoined, built once."""
-    rng, adjoined = _trial_draws(sample, k)
-    while len(adjoined) <= t:
-        form = random_form(sample.field, sample.spec.num_vars, rng)
-        adjoined.append(sample.adjoin_form(form, k))
-    return adjoined[t]
 
 
 def rank_with_form(sample: IdealSample, form: LinearFormRep, k: int, j: int) -> int:
@@ -377,17 +363,17 @@ def mult_rank_report(
     """Rank of multiplication by a general k-th power from degree j-k to degree j.
 
     The rank over a random form is at most the generic rank, so the report
-    takes the maximum over up to `trials` independent choices.  Each rank is
-    `rank_with_form`'s dimension drop, on the trial's adjoined sample.
+    takes the maximum of `rank_with_form` over up to `trials` forms, the
+    first draws of a fresh `_trial_rng(sample, k)`, and stops at maximal rank.
     """
     if k < 1 or j < k or trials < 1:
         raise ValueError("need k >= 1, j >= k, trials >= 1")
     dom = quotient_dim(sample, j - k)
     cod = quotient_dim(sample, j)
-    ideal_dim = ideal_piece_dim(sample, j)
+    rng = _trial_rng(sample, k)
     rank, used = 0, 0
     while used < trials and rank < min(dom, cod):
-        rank = max(rank, ideal_piece_dim(_trial_sample(sample, k, used), j) - ideal_dim)
+        rank = max(rank, rank_with_form(sample, random_form(sample.field, sample.spec.num_vars, rng), k, j))
         used += 1
     return RankReport(k, j, dom, cod, rank, used)
 
@@ -398,12 +384,24 @@ def lefschetz_scan(
     """Degrees where multiplication by a general k-th power misses maximal rank.
 
     Scans j from k through the regularity (the codomain is 0 past it); an
-    empty list certifies maximal rank.  Raises ValueError unless k >= 1 and
-    trials >= 1.
+    empty list certifies maximal rank.  With h the Hilbert function of R/I
+    and g that of R/(I, L^k) for the first trial form L, that form's rank
+    into degree j is h[j] - g[j], and g stays 0 from its first zero on.  A
+    random form's rank never exceeds the generic rank, so a degree where it
+    is maximal, g[j] <= max(h[j] - h[j-k], 0), has maximal rank; only the
+    other degrees go to `mult_rank_report`, whose first form is the same L.
+    Raises ValueError unless k >= 1 and trials >= 1.
     """
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1, trials >= 1")
-    reports = (mult_rank_report(sample, k, j, trials) for j in range(k, regularity(sample) + 1))
+    h = hilbert_function(sample)
+    if len(h) <= k:
+        return []
+    form = random_form(sample.field, sample.spec.num_vars, _trial_rng(sample, k))
+    first = sample.adjoin_form(form, k)
+    g = takewhile(bool, (quotient_dim(first, j) for j in range(k, len(h))))
+    short = [j for j, g_j in enumerate(g, k) if g_j > max(h[j] - h[j - k], 0)]
+    reports = (mult_rank_report(sample, k, j, trials) for j in short)
     return [DegreeFailure(rep.j, rep.deficiency) for rep in reports if rep.deficiency > 0]
 
 

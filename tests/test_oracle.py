@@ -542,12 +542,15 @@ def test_trial_form_rank_matches_quotient_matrix(case):
 
 
 def test_scan_draws_one_first_trial_form_per_power(monkeypatch):
-    # A cold scan adjoins each trial form once, however many degrees it
-    # covers, and the t-th adjoined form is the t-th draw of the power's
-    # stream.  Degree 5 fails, so there every trial is used.
+    # A scan draws and adjoins its first trial form once, however many
+    # degrees it covers, and sends only the short degree 5 to
+    # mult_rank_report, which draws its trials from a fresh stream: each
+    # stream's t-th adjoined form is its t-th draw.  Degree 5 fails, so
+    # there every trial is used.
     sample = sample_ideal(ExponentSpec(3, (3, 4, 4, 4)), seed=5)
     adjoin, adjoined = IdealSample.adjoin_form, []
     trial_rng, streams = oracle._trial_rng, []
+    report, degrees = oracle.mult_rank_report, []
 
     def counting_adjoin(self, form, power):
         adjoined.append((self, form, power))
@@ -557,16 +560,72 @@ def test_scan_draws_one_first_trial_form_per_power(monkeypatch):
         streams.append(args)
         return trial_rng(*args)
 
+    def counting_report(sample, k, j, trials):
+        degrees.append(j)
+        return report(sample, k, j, trials)
+
     monkeypatch.setattr(IdealSample, "adjoin_form", counting_adjoin)
     monkeypatch.setattr(oracle, "_trial_rng", counting_rng)
-    oracle._trial_draws.cache_clear()
+    monkeypatch.setattr(oracle, "mult_rank_report", counting_report)
     k, trials = 3, 2
     assert lefschetz_scan(sample, k, trials) == [(5, 1)]
     assert regularity(sample) - k + 1 > trials
-    assert streams == [(sample, k)]
-    assert len(adjoined) == trials
+    assert degrees == [5]
+    assert streams == [(sample, k)] * 2
     rng = trial_rng(sample, k)
-    assert adjoined == [(sample, random_form(sample.field, 3, rng), k) for _ in range(trials)]
+    draws = [(sample, random_form(sample.field, 3, rng), k) for _ in range(trials)]
+    assert adjoined == draws[:1] + draws
+
+
+def test_scan_stops_at_the_first_zero_of_the_adjoined_quotient(monkeypatch):
+    # Four general cubes and L: h = (1,3,6,6,3) and R/(I, L) has
+    # g = (1,2,3,0,...), so from degree 3 on the rank is h[j] and the scan
+    # asks nothing of the adjoined sample in degree 4.
+    sample = sample_ideal(ExponentSpec(3, (3, 3, 3, 3)), seed=5)
+    asked = []
+
+    def spy(sample, j):
+        asked.append((sample, j))
+        return ideal_piece_dim(sample, j)
+
+    monkeypatch.setattr(oracle, "ideal_piece_dim", spy)
+    assert lefschetz_scan(sample, 1) == []
+    adjoined = [(other, j) for other, j in asked if other != sample]
+    first = adjoined[0][0]
+    assert adjoined == [(first, j) for j in (1, 2, 3)]
+    assert hilbert_function(sample) == (1, 3, 6, 6, 3)
+    assert [quotient_dim(first, j) for j in range(5)] == [1, 2, 3, 0, 0]
+    # No degree >= k: nothing to scan.
+    assert lefschetz_scan(sample_ideal(ExponentSpec(3, (2, 2, 2))), 5) == []
+
+
+@st.composite
+def artinian_scans(draw):
+    r = draw(st.integers(3, 5), label="num_vars")
+    s = draw(st.integers(r, r + 2), label="s")
+    top = {3: 6, 4: 4, 5: 2}[r]
+    exponents = tuple(draw(st.lists(st.integers(1, top), min_size=s, max_size=s), label="exponents"))
+    sample = sample_ideal(ExponentSpec(r, exponents), seed=draw(st.integers(0, 999), label="seed"))
+    return sample, draw(st.integers(1, 4), label="k"), draw(st.integers(1, 3), label="trials")
+
+
+@settings(max_examples=60, deadline=None)
+@given(artinian_scans())
+def test_scan_is_two_hilbert_functions(case):
+    # The scan's failures are the per-degree reports', and its first trial
+    # form's rank h[j] - g[j] is the rank of the induced map on standard
+    # monomials, in every degree from k to the regularity.
+    sample, k, trials = case
+    h = hilbert_function(sample)
+    degrees = range(k, len(h))
+    reports = [mult_rank_report(sample, k, j, trials) for j in degrees]
+    assert lefschetz_scan(sample, k, trials) == [(rep.j, rep.deficiency) for rep in reports if rep.deficiency]
+    form = random_form(sample.field, sample.spec.num_vars, oracle._trial_rng(sample, k))
+    adjoined = sample.adjoin_form(form, k)
+    with patch.object(oracle, "standard_monomials", lru_cache(maxsize=None)(oracle.standard_monomials)):
+        for j in degrees:
+            rank = matrix_rank(mult_matrix_on_quotient(sample, form, k, j))
+            assert rank == h[j] - quotient_dim(adjoined, j), (sample.spec, k, j)
 
 
 def test_sample_hash_is_cached_and_frame_free():
