@@ -3,17 +3,15 @@
 All results go to standard output as compact JSON; `verify --format csv`
 switches the sweep rows to semicolon-separated CSV.  Exit codes: 0 on
 success, 1 when `verify` finds a disagreement that survives the second-prime
-retry, 2 on usage errors, 3 on any other (unexpected) error.  The environment
-variable LEFLAB_PRIME overrides the default modulus of the commands that take
---prime.  The CLI decides no closed form itself: `classify` and `verify`
-print `theory.verdict_for`, and `slp` prints `theory.slp_verdict`.
+retry, 2 on usage errors, 3 on any other (unexpected) error.  The CLI
+decides no closed form itself: `classify` and `verify` print
+`theory.verdict_for`, and `slp` prints `theory.slp_verdict`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from functools import lru_cache
@@ -45,19 +43,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {text!r}") from exc
 
 
-def _default_prime() -> int:
-    env = os.environ.get("LEFLAB_PRIME")
-    if not env:
-        return DEFAULT_PRIME
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"LEFLAB_PRIME must be an integer: {env!r}") from None
-
-
 _COMMON_FLAGS = {
     "vars": dict(type=int, default=3, help="number of variables"),
-    "prime": dict(type=int, default=None, help="field modulus (default LEFLAB_PRIME or 2147483647)"),
+    "prime": dict(type=int, default=DEFAULT_PRIME, help=f"field modulus (default {DEFAULT_PRIME})"),
     "seed": dict(type=int, default=0),
     "trials": dict(type=int, default=DEFAULT_TRIALS),
     "format": dict(choices=("json", "csv"), default="json"),
@@ -247,8 +235,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if "prime" in vars(args) and args.prime is None:
-            args.prime = _default_prime()
         return _COMMANDS[args.command](args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         # A type error raised outside argparse, like verify's --specs parts.

@@ -29,15 +29,15 @@ class SweepConfig:
     specs: Optional[tuple[tuple[int, ...], ...]] = None
     s_range: tuple[int, int] = (4, 6)
     exp_range: tuple[int, int] = (2, 6)
-    primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME)
+    primes: tuple[int, int] = (DEFAULT_PRIME, SECOND_PRIME)
     trials: int = DEFAULT_TRIALS
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("need k >= 1")
-        if not 1 <= len(self.primes) <= 2:
-            raise ValueError("need one prime, or two with a retry prime")
+        if len(self.primes) != 2:
+            raise ValueError("need a prime and a retry prime")
         for prime in self.primes:
             PrimeField(prime)  # a bad retry prime fails here, not mid-sweep
         if self.trials < 1:
@@ -88,10 +88,9 @@ def run_verification(config: SweepConfig) -> tuple[list[VerificationRow], dict]:
         start = time.perf_counter()
         predicted = theory.verdict_for(spec, config.k).failures
         observed = _oracle_failures(spec, config.k, config.primes[0], config.seed, config.trials)
-        retried = False
-        if observed != predicted and len(config.primes) > 1:
+        retried = observed != predicted
+        if retried:
             # Could be a special sample; retry on a second prime with more trials.
-            retried = True
             observed = _oracle_failures(
                 spec, config.k, config.primes[1], config.seed + 1, 3 * config.trials
             )

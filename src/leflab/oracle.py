@@ -30,6 +30,9 @@ forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
 The standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
 stays in the full ring as an independent check.
+The frame alone knows where a quotient ends: when it caps every variable,
+the ideal is all of R_j past the socle degree sum(caps) - r, where
+`ideal_piece_dim` builds nothing; a free variable means a non-artinian one.
 `hilbert_function` is the plain tuple of quotient dimensions, `regularity`
 its length minus one, and `lefschetz_scan` a list of `DegreeFailure` records.
 """
@@ -39,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import takewhile
+from itertools import count, takewhile
 from operator import mul
 from typing import NamedTuple
 
@@ -60,7 +63,7 @@ DEFAULT_TRIALS = 5
 
 
 class NonArtinianError(ValueError):
-    """Raised when an operation needs an artinian quotient (s >= num_vars)."""
+    """Raised when an operation needs an artinian quotient (forms spanning R_1)."""
 
 
 class PrimeTooSmallError(ValueError):
@@ -273,7 +276,7 @@ def _in_general_position(sample: IdealSample) -> bool:
     return all_minors_nonzero(block, sample.field.modulus)
 
 
-# Unbounded: keyed by shapes, not samples; 1,290 entries after `verify --a-max 8`.
+# Unbounded: keyed by shapes, not samples; 1,204 entries after `verify --a-max 8`.
 @lru_cache(maxsize=None)
 def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
     """Rows of the degree-j monomial basis that are not in (x_m^caps[m])."""
@@ -292,13 +295,19 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
 
     J, the monomial ideal of the frame's caps, has J_j spanned by the
     monomials off `_ci_rows`; the remaining powers add the rank of their
-    products with the surviving monomials, reduced modulo J.
+    products with the surviving monomials, reduced modulo J.  When every
+    variable is capped, J_j is all of R_j past the socle degree
+    sum(caps) - r, and so is the ideal: no row set or matrix is built there.
+    Like the row sets, this trusts the caps; a frame whose caps were not
+    powers in the ideal would overstate the piece, never understate it.
     """
     if j < 0:
         return 0
     field, frame = sample.field, sample.frame
     caps = frame.caps
     r = len(caps)
+    if None not in caps and j > sum(caps) - r:
+        return graded_dim(r, j)
     rows = _ci_rows(r, caps, j)
     blocks = [
         mult_matrix(field, r, _gen_coords(field, form, a), a, j).entries[
@@ -316,19 +325,17 @@ def quotient_dim(sample: IdealSample, j: int) -> int:
 
 
 def hilbert_function(sample: IdealSample) -> tuple[int, ...]:
-    """Quotient dimensions from degree 0 up to the first zero (the quotient is artinian)."""
-    spec = sample.spec
-    if not spec.is_artinian:
-        raise NonArtinianError(f"{spec.s} forms in {spec.num_vars} variables is not artinian")
-    # Socle bound from the complete intersection on the smallest r exponents.
-    bound = sum(spec.exponents[: spec.num_vars]) - spec.num_vars
-    values = []
-    for j in range(bound + 2):
-        h = quotient_dim(sample, j)
-        if h == 0:
-            return tuple(values)
-        values.append(h)
-    raise AssertionError("quotient did not vanish below the complete-intersection bound")
+    """Quotient dimensions from degree 0 up to the first zero.
+
+    The quotient is artinian exactly when the forms span R_1, that is, when
+    the frame caps every variable; then `ideal_piece_dim` makes it vanish
+    past the socle degree of the frame's complete intersection.
+    """
+    spec, caps = sample.spec, sample.frame.caps
+    if None in caps:
+        span = "" if spec.s < spec.num_vars else f" spanning {len(caps) - caps.count(None)} dimensions"
+        raise NonArtinianError(f"{spec.s} forms in {spec.num_vars} variables{span} is not artinian")
+    return tuple(takewhile(bool, (quotient_dim(sample, j) for j in count())))
 
 
 def regularity(sample: IdealSample) -> int:

@@ -4,7 +4,7 @@ import pytest
 
 from itertools import combinations_with_replacement
 
-from leflab import cli, harness, theory
+from leflab import cli, harness, oracle, theory
 from leflab.harness import SweepConfig, run_verification
 from leflab.oracle import ExponentSpec, lefschetz_scan, regularity, sample_ideal
 
@@ -44,6 +44,20 @@ def test_rank_output(capsys):
     doc = json.loads(out)
     assert doc["rank"] == 2 and doc["kernel"] == 1 and doc["cokernel"] == 1
     assert doc["maximal"] is False
+
+
+def test_rank_past_the_socle_builds_nothing(capsys, monkeypatch):
+    # Four cubes in three variables vanish from degree 5 on, so degree 3000
+    # is zero on both sides, read off the frame with no row set or matrix.
+    def refuse(*args):
+        raise AssertionError("built a piece past the socle")
+
+    oracle.ideal_piece_dim.cache_clear()
+    monkeypatch.setattr(oracle, "mult_matrix", refuse)
+    monkeypatch.setattr(oracle, "_ci_rows", refuse)
+    code, out, _ = run_cli(capsys, "rank", "--powers", "3,3,3,3", "--k", "3", "--degree", "3000")
+    assert code == 0
+    assert out == '{"k":3,"j":3000,"dim_domain":0,"dim_codomain":0,"rank":0,"kernel":0,"cokernel":0,"maximal":true}\n'
 
 
 def test_scan_output(capsys):
@@ -172,13 +186,6 @@ def test_output_byte_stable(capsys):
     assert json.loads(v1)["summary"] == json.loads(v2)["summary"]
 
 
-def test_env_var_prime_override(capsys, monkeypatch):
-    monkeypatch.setenv("LEFLAB_PRIME", "1000003")
-    code, out, _ = run_cli(capsys, "hilbert", "--vars", "3", "--powers", "2,2,2")
-    assert code == 0
-    assert json.loads(out) == {"hf": [1, 3, 3, 1], "reg": 3}
-
-
 def test_usage_errors_exit_two(capsys):
     assert cli.main(["nonsense"]) == 2
     assert cli.main([]) == 2
@@ -201,14 +208,20 @@ def test_usage_errors_exit_two(capsys):
     assert "unrecognized arguments: --trials 0" in err
 
 
-def test_malformed_env_prime_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("LEFLAB_PRIME", "abc")
-    code, out, err = run_cli(capsys, "hilbert", "--powers", "3,3,3,3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: LEFLAB_PRIME")
-    # Commands without --prime never read the variable.
-    code, out, _ = run_cli(capsys, "classify", "--powers", "3,3,3,3", "--k", "3")
-    assert code == 0 and out == '{"status":"fails","degrees":[4]}\n'
+def test_environment_never_sets_the_prime(capsys, monkeypatch):
+    # Stdout depends on the command line alone: a LEFLAB_PRIME in the
+    # environment, well-formed or not, changes nothing.
+    argvs = [
+        ("hilbert", "--powers", "3,3,3,3"),
+        ("rank", "--powers", "3,3,3,3", "--k", "3", "--degree", "4"),
+        ("scan", "--powers", "3,4,4,4", "--k", "3", "--trials", "2"),
+        ("classify", "--powers", "3,3,3,3", "--k", "3"),
+    ]
+    plain = [run_cli(capsys, *argv) for argv in argvs]
+    for value in ("1000003", "abc"):
+        monkeypatch.setenv("LEFLAB_PRIME", value)
+        assert [run_cli(capsys, *argv) for argv in argvs] == plain
+    assert all(code == 0 for code, _, _ in plain)
 
 
 _REQUIRED_ARGS = {
@@ -376,8 +389,10 @@ def test_run_verification_rows_sorted_and_complete():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(primes=())
+    # One prime and one retry prime, no fewer.
+    for primes in ((), (2147483647,)):
+        with pytest.raises(ValueError, match="need a prime and a retry prime"):
+            SweepConfig(primes=primes)
     # A third prime would never be tried.
     with pytest.raises(ValueError):
         SweepConfig(primes=(2147483647, 2147483629, 2147483587))
@@ -389,7 +404,7 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(s_range=(5, 4))
     # Every prime is checked up front, the retry prime included.
-    for primes in ((4,), (2147483647, 4), (2147483647, 2**31 + 11)):
+    for primes in ((4, harness.SECOND_PRIME), (2147483647, 4), (2147483647, 2**31 + 11)):
         with pytest.raises(ValueError):
             SweepConfig(primes=primes)
 

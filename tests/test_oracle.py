@@ -28,7 +28,7 @@ from leflab.oracle import (
     rank_with_form,
 )
 from leflab.linsys import binom, dual_system, system_dim
-from leflab.polyring import LinearFormRep, power_coords
+from leflab.polyring import LinearFormRep, graded_dim, power_coords
 from leflab.theory import classify_cube, peak_degree, slp_verdict, verdict_for
 
 
@@ -176,6 +176,54 @@ def test_hilbert_function_requires_artinian():
         hilbert_function(s)
     with pytest.raises(NonArtinianError):
         lefschetz_scan(s, 1)
+
+
+def test_forms_spanning_a_plane_are_not_artinian():
+    # Four forms in three variables, all in the plane z = 0: s >= r, but a
+    # variable stays free in the frame, and the quotient never vanishes.
+    sample = IdealSample(
+        ExponentSpec(3, (2, 2, 2, 3)),
+        tuple(LinearFormRep(c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0))),
+        PrimeField(),
+        seed=0,
+    )
+    assert None in sample.frame.caps
+    with pytest.raises(NonArtinianError, match="4 forms in 3 variables spanning 2 dimensions"):
+        hilbert_function(sample)
+    with pytest.raises(NonArtinianError):
+        lefschetz_scan(sample, 1)
+
+
+@st.composite
+def capped_samples(draw):
+    """An artinian sample in 2-5 variables, with or without an adjoined trial form."""
+    r = draw(st.integers(2, 5), label="num_vars")
+    s = draw(st.integers(r, r + 2), label="s")
+    exponents = tuple(draw(st.lists(st.integers(1, 5), min_size=s, max_size=s), label="exponents"))
+    sample = sample_ideal(ExponentSpec(r, exponents), seed=draw(st.integers(0, 999), label="seed"))
+    if draw(st.booleans(), label="adjoined"):
+        rng = np.random.default_rng(draw(st.integers(0, 999), label="form seed"))
+        sample = sample.adjoin_form(random_form(sample.field, r, rng), draw(st.integers(1, 4), label="k"))
+    return sample
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_samples())
+def test_pieces_past_the_socle_build_nothing(sample):
+    # Past the socle of the frame's complete intersection the ideal is all
+    # of R_j, read off the caps: no row set or multiplication matrix is built.
+    def refuse(*args):
+        raise AssertionError("built a piece past the socle")
+
+    caps = sample.frame.caps
+    assert None not in caps
+    socle = sum(caps) - len(caps)
+    ideal_piece_dim.cache_clear()
+    oracle._ci_rows.cache_clear()
+    with patch.object(oracle, "_ci_rows", refuse), patch.object(oracle, "mult_matrix", refuse):
+        for j in range(socle + 1, socle + 4):
+            assert ideal_piece_dim(sample, j) == graded_dim(len(caps), j)
+            assert quotient_dim(sample, j) == 0
 
 
 def test_two_seeds_agree_on_dimensions():
