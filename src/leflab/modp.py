@@ -105,8 +105,8 @@ class DenseMatrix:
         """A matrix on `arr` as it is, without copying or reducing it again.
 
         `arr` must be a 2-D int64 array with entries in [0, p), such as the
-        output of `polyring.mult_matrix`, slices and stacks of it, or an
-        echelon form; it is made read-only.  Use `DenseMatrix(...)` for
+        output of `polyring.mult_matrix`, slices of it, or an echelon form;
+        it is made read-only.  Use `DenseMatrix(...)` for
         entries from anywhere else.
         """
         arr.flags.writeable = False

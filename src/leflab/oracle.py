@@ -10,14 +10,18 @@ sample carries a `frame`, an exact change of coordinates over F_p that turns
 a maximal independent set of the forms, smallest exponents first, into
 variables, so their powers span a monomial ideal counted without
 elimination; only the remaining powers are row-reduced, on the monomials
-that survive in the quotient by it.
+that survive in the quotient by it.  Their matrix is built on those
+monomials alone (`mult_matrix` with the frame's caps): no piece of the full
+ring is listed, so a non-artinian piece of huge degree stays small.
 
 Frames are built by exchange steps (`_exchange`), and no frame eliminates.
 A form L with coordinates l in a frame and power k replaces the variable y_m
 with l_m != 0 and the largest cap (a free one counts as largest) when k is
 below its cap, through the elementary change sending l to e_m, and the
 displaced power y_m^cap joins the remaining powers; otherwise L^k itself
-joins them.
+joins them.  The variables then take one order, caps ascending and free
+ones last, so frames with equal caps share the complete intersection's
+cached bases.
 A trial form is one more generator: the cokernel of multiplication by L^k on
 R/I is R/(I, L^k), so `rank_with_form` is a difference of two
 `ideal_piece_dim` values, of the sample and of the sample with L^k adjoined,
@@ -57,7 +61,7 @@ from .modp import (
     reduce_rows,
     row_echelon,
 )
-from .polyring import LinearFormRep, graded_dim, monomial_basis, mult_matrix, power_coords
+from .polyring import LinearFormRep, ci_basis, graded_dim, mult_matrix, power_coords
 
 DEFAULT_TRIALS = 5
 
@@ -200,7 +204,7 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
 # adjoined again gives equal ones.  A cold scan needs s - r + 1 live keys, and
 # at most trials * (s - r + 1) when two degrees are short: 8 as measured for
 # (18,)*10 in 3 variables (k = 3) and (7,)*5 in 4 (k = 1), 5 trials each; a
-# 32x margin.
+# 32x margin.  `verify --a-max 8` fills it: 6,540 misses, 7,127 hits.
 @lru_cache(maxsize=256)
 def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
     vec = power_coords(field, form, power)
@@ -211,15 +215,9 @@ def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarra
 def _ideal_matrix(sample: IdealSample, j: int) -> np.ndarray:
     """Columns spanning the degree-j piece of the ideal, in monomial coordinates."""
     field = sample.field
-    r = sample.spec.num_vars
-    blocks = []
-    for a, form in zip(sample.spec.exponents, sample.forms):
-        if a <= j:
-            coords = _gen_coords(field, form, a)
-            blocks.append(mult_matrix(field, r, coords, a, j).entries)
-    if not blocks:
-        return np.zeros((graded_dim(r, j), 0), dtype=np.int64)
-    return np.hstack(blocks)
+    gens = zip(sample.spec.exponents, sample.forms)
+    factors = [(_gen_coords(field, form, a), a) for a, form in gens if a <= j]
+    return mult_matrix(field, sample.spec.num_vars, factors, j).entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +256,21 @@ def _exchange(frame: CIFrame, form: LinearFormRep, k: int, p: int) -> CIFrame:
     if caps[m] is not None:
         rest += ((LinearFormRep(exchanged(tuple(int(i == m) for i in range(len(ell))))), caps[m]),)
     change = tuple(zip(*(exchanged(col) for col in zip(*frame.change))))
-    return CIFrame(change, caps[:m] + (k,) + caps[m + 1 :], rest)
+    return _in_cap_order(CIFrame(change, caps[:m] + (k,) + caps[m + 1 :], rest))
+
+
+def _in_cap_order(frame: CIFrame) -> CIFrame:
+    """The frame with its variables in one order: caps ascending, free ones last.
+
+    Frames with equal caps then share their complete intersection's cached
+    bases, whatever order the exchange steps left them in.
+    """
+    caps = frame.caps
+    order = sorted(range(len(caps)), key=lambda i: (caps[i] is None, caps[i] or 0))
+    if order == list(range(len(caps))):
+        return frame
+    rest = tuple((LinearFormRep(tuple(form.coeffs[i] for i in order)), a) for form, a in frame.rest)
+    return CIFrame(tuple(frame.change[i] for i in order), tuple(caps[i] for i in order), rest)
 
 
 def _in_general_position(sample: IdealSample) -> bool:
@@ -276,16 +288,6 @@ def _in_general_position(sample: IdealSample) -> bool:
     return all_minors_nonzero(block, sample.field.modulus)
 
 
-# Unbounded: keyed by shapes, not samples; 1,204 entries after `verify --a-max 8`.
-@lru_cache(maxsize=None)
-def _ci_rows(num_vars: int, caps: tuple[int | None, ...], j: int) -> np.ndarray:
-    """Rows of the degree-j monomial basis that are not in (x_m^caps[m])."""
-    bound = np.array([j + 1 if c is None else c for c in caps], dtype=np.int64)
-    rows = np.flatnonzero((monomial_basis(num_vars, j) < bound).all(axis=1))
-    rows.flags.writeable = False
-    return rows
-
-
 # Bounded: a cold scan rereads the sample's pieces at its short degrees, so it
 # needs about its degree count in live keys, 53 at most as measured ((30,)*6 in
 # 3 variables, k = 3, 5 trials; none for k <= 2): a 19x margin.
@@ -294,12 +296,15 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     """dim of the degree-j piece of the ideal for this sample, in its frame.
 
     J, the monomial ideal of the frame's caps, has J_j spanned by the
-    monomials off `_ci_rows`; the remaining powers add the rank of their
-    products with the surviving monomials, reduced modulo J.  When every
-    variable is capped, J_j is all of R_j past the socle degree
-    sum(caps) - r, and so is the ideal: no row set or matrix is built there.
-    Like the row sets, this trusts the caps; a frame whose caps were not
-    powers in the ideal would overstate the piece, never understate it.
+    monomials off `ci_basis(caps, j)`; the remaining powers add the rank of
+    their products with the monomials outside J, modulo J.  `mult_matrix`
+    builds that block for all of them at once, on the complete
+    intersection's bases and the terms of each power outside J, with no
+    full-ring basis or matrix.  When every variable is capped, J_j is all
+    of R_j past the socle degree sum(caps) - r, and so is the ideal: no
+    basis or matrix is built there.  Like the bases, this trusts the caps; a
+    frame whose caps were not powers in the ideal would overstate the piece,
+    never understate it.
     """
     if j < 0:
         return 0
@@ -308,16 +313,11 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     r = len(caps)
     if None not in caps and j > sum(caps) - r:
         return graded_dim(r, j)
-    rows = _ci_rows(r, caps, j)
-    blocks = [
-        mult_matrix(field, r, _gen_coords(field, form, a), a, j).entries[
-            np.ix_(rows, _ci_rows(r, caps, j - a))
-        ]
-        for form, a in frame.rest
-        if a <= j
-    ]
-    rank = matrix_rank(DenseMatrix.from_reduced(field, np.hstack(blocks))) if blocks else 0
-    return graded_dim(r, j) - rows.size + rank
+    factors = [(_gen_coords(field, form, a), a) for form, a in frame.rest if a <= j]
+    if not factors:
+        return graded_dim(r, j) - len(ci_basis(caps, j))
+    block = mult_matrix(field, r, factors, j, caps)
+    return graded_dim(r, j) - block.rows + matrix_rank(block)
 
 
 def quotient_dim(sample: IdealSample, j: int) -> int:
@@ -435,7 +435,7 @@ def mult_matrix_on_quotient(
     field, r = sample.field, sample.spec.num_vars
     _, _, std_dom = standard_monomials(sample, j - k)
     ech, pivots, std_cod = standard_monomials(sample, j)
-    big = mult_matrix(field, r, _gen_coords(field, form, k), k, j).entries
+    big = mult_matrix(field, r, [(_gen_coords(field, form, k), k)], j).entries
     # An empty index list gives an empty int64 block of the right shape.
     reduced = reduce_rows(big[:, list(std_dom)].T, ech, pivots)
     return DenseMatrix.from_reduced(field, reduced[:, list(std_cod)].T)

@@ -8,6 +8,7 @@ Groebner machinery.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -32,8 +33,6 @@ class LinearFormRep:
         return len(self.coeffs)
 
 
-# Unbounded: one entry per (variables, degree), 48 after `verify --a-max 8`.
-@lru_cache(maxsize=None)
 def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
     """Exponents of the degree-`degree` monomials, one read-only row each.
 
@@ -43,12 +42,27 @@ def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
     """
     if num_vars < 1 or degree < 0:
         raise ValueError("need num_vars >= 1 and degree >= 0")
-    if num_vars == 1:
-        exps = np.array([[degree]], dtype=np.int64)
+    return ci_basis((None,) * num_vars, degree)
+
+
+# Unbounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 1,321
+# entries, 937 for whole caps tuples and the rest for their suffixes (the
+# full-ring bases among them).
+@lru_cache(maxsize=None)
+def ci_basis(caps: tuple[int | None, ...], degree: int) -> np.ndarray:
+    """Exponents of the degree-`degree` monomials outside (x_m^caps[m]), read-only.
+
+    There is one cap per variable; a cap of None leaves its variable free.
+    The rows are those of `monomial_basis` that stay, in its order, listed
+    under the caps without the full basis.
+    """
+    top = degree if caps[0] is None else min(degree, caps[0] - 1)
+    if len(caps) == 1:
+        exps = np.array([[degree]] if top == degree else [], dtype=np.int64).reshape(-1, 1)
     else:
         blocks = []
-        for e in range(degree, -1, -1):
-            rest = monomial_basis(num_vars - 1, degree - e)
+        for e in range(top, -1, -1):
+            rest = ci_basis(caps[1:], degree - e)
             blocks.append(np.column_stack((np.full(len(rest), e, dtype=np.int64), rest)))
         exps = np.vstack(blocks)
     exps.flags.writeable = False
@@ -61,24 +75,65 @@ def graded_dim(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
-# Unbounded: keyed by shapes, not samples; 37 entries after `verify --a-max 8`.
-@lru_cache(maxsize=None)
-def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
-    """map[t, c]: target-basis row of (term t of degree f_degree) * (source monomial c).
+def _key_weights(num_vars: int, target_degree: int) -> np.ndarray:
+    """Weights reading exponents as base-(target_degree+1) digits, first variable most significant.
 
-    Exponents are read as base-(target_degree+1) digits, first variable most
-    significant, so the target basis has strictly decreasing keys.
+    No exponent of degree at most target_degree carries a digit, so a
+    product's key is the sum of its factors' keys, and graded-lexicographic
+    bases have strictly decreasing keys.
     """
     base = target_degree + 1
     if base**num_vars > np.iinfo(np.int64).max:
         raise ValueError(f"{num_vars} variables in degree {target_degree} overflow the monomial keys")
-    weights = base ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
+    return base ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
+
+
+# Unbounded: keyed by shapes, not samples.  Only the full-ring route builds
+# these (the standard-monomial cross-check); `verify --a-max 8` builds none.
+@lru_cache(maxsize=None)
+def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
+    """map[t, c]: target-basis row of (term t of degree f_degree) * (source monomial c)."""
+    weights = _key_weights(num_vars, target_degree)
     neg_keys = -(monomial_basis(num_vars, target_degree) @ weights)
     terms = monomial_basis(num_vars, f_degree) @ weights
     sources = monomial_basis(num_vars, target_degree - f_degree) @ weights
     out = np.searchsorted(neg_keys, -(terms[:, None] + sources[None, :]))
     out.flags.writeable = False
     return out
+
+
+# Bounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 614
+# entries (about 1 MB) and `verify --k 1 --a-max 8` 702; the six-variable
+# scan of (5,)*7 leaves 20 of 16 MB at a 94 MB peak.  The bound keeps every
+# sweep whole and stops a long run over many shapes from growing unchecked.
+@lru_cache(maxsize=1024)
+def _ci_index_map(
+    caps: tuple[int | None, ...], f_degree: int, target_degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, terms): the cells of multiplication by a degree-f_degree form modulo J.
+
+    J is (x_m^caps[m]).  Cell i is the product of the term at `terms[i]` of
+    the degree-f_degree monomial basis with source `cols[i]` of
+    `ci_basis(caps, target_degree - f_degree)`, at row `rows[i]` of
+    `ci_basis(caps, target_degree)`.  Only products outside J are cells; a
+    divisor of a monomial outside J is outside J too, and so is every term.
+    """
+    num_vars = len(caps)
+    weights = _key_weights(num_vars, target_degree)
+    f_basis = monomial_basis(num_vars, f_degree)
+    bound = np.array([target_degree + 1 if c is None else c for c in caps], dtype=np.int64)
+    kept = np.flatnonzero((f_basis < bound).all(axis=1))
+    sources = ci_basis(caps, target_degree - f_degree) @ weights
+    neg_products = -((f_basis[kept] @ weights)[:, None] + sources[None, :])
+    # Negated keys increase down the basis; a positive sentinel after them
+    # keeps every search position in range and matches no product.
+    neg_targets = np.append(-(ci_basis(caps, target_degree) @ weights), 1)
+    at = np.searchsorted(neg_targets, neg_products)
+    t, cols = np.nonzero(neg_targets[at] == neg_products)
+    rows, terms = at[t, cols], kept[t]
+    for arr in (rows, cols, terms):
+        arr.flags.writeable = False
+    return rows, cols, terms
 
 
 # Unbounded: keyed by shapes, not samples; one entry per (variables, power,
@@ -116,22 +171,38 @@ def power_coords(field_: PrimeField, form: LinearFormRep, a: int) -> np.ndarray:
 def mult_matrix(
     field_: PrimeField,
     num_vars: int,
-    f_coords: np.ndarray,
-    f_degree: int,
+    factors: Sequence[tuple[np.ndarray, int]],
     target_degree: int,
+    caps: tuple[int | None, ...] | None = None,
 ) -> DenseMatrix:
-    """Matrix of multiplication by f between graded pieces.
+    """Matrix of (g_1, ..., g_n) -> f_1 g_1 + ... + f_n g_n into one graded piece.
 
-    Columns are indexed by the monomials of degree target_degree - f_degree,
-    rows by the monomials of degree target_degree; the column for a monomial
-    m holds the coordinates of f*m.
+    `factors` lists each f_i as (coordinates, degree).  Rows are indexed by
+    the monomials of degree target_degree; the columns come in one block per
+    factor, indexed by the monomials of degree target_degree - deg f_i, and
+    the column of a monomial m in block i holds the coordinates of f_i*m.
+    With `caps` (one per variable, None for a free one) every basis is
+    `ci_basis`, the monomials outside J = (x_m^caps[m]), and products in J
+    are dropped: the map between graded pieces of R/J, built from the terms
+    of each f_i outside J without the full-ring bases.
     """
-    if target_degree < f_degree:
-        raise ValueError("target degree below the degree of f")
-    index = _index_map(num_vars, f_degree, target_degree)
-    coeffs = np.asarray(f_coords, dtype=np.int64) % field_.modulus
-    nz = np.nonzero(coeffs)[0]
-    out = np.zeros((graded_dim(num_vars, target_degree), index.shape[1]), dtype=np.int64)
-    # Distinct terms of f send a monomial m to distinct products, so no cell is hit twice.
-    out[index[nz], np.arange(index.shape[1])] = coeffs[nz, None]
+    if any(f_degree > target_degree for _, f_degree in factors):
+        raise ValueError("target degree below the degree of a factor")
+    if caps is None:
+        widths = [graded_dim(num_vars, target_degree - f_degree) for _, f_degree in factors]
+        out = np.zeros((graded_dim(num_vars, target_degree), sum(widths)), dtype=np.int64)
+    else:
+        widths = [len(ci_basis(caps, target_degree - f_degree)) for _, f_degree in factors]
+        out = np.zeros((len(ci_basis(caps, target_degree)), sum(widths)), dtype=np.int64)
+    offset = 0
+    for (f_coords, f_degree), width in zip(factors, widths):
+        coeffs = np.asarray(f_coords, dtype=np.int64) % field_.modulus
+        # Distinct terms of f send a monomial m to distinct products, so no cell is hit twice.
+        if caps is None:
+            index = _index_map(num_vars, f_degree, target_degree)
+            out[index, np.arange(offset, offset + width)] = coeffs[:, None]
+        else:
+            rows, cols, terms = _ci_index_map(caps, f_degree, target_degree)
+            out[rows, cols + offset] = coeffs[terms]
+        offset += width
     return DenseMatrix.from_reduced(field_, out)

@@ -1,10 +1,12 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from itertools import combinations_with_replacement
 
-from leflab import cli, harness, oracle, theory
+from leflab import cli, harness, oracle, polyring, theory
 from leflab.harness import SweepConfig, run_verification
 from leflab.oracle import ExponentSpec, lefschetz_scan, regularity, sample_ideal
 
@@ -54,10 +56,33 @@ def test_rank_past_the_socle_builds_nothing(capsys, monkeypatch):
 
     oracle.ideal_piece_dim.cache_clear()
     monkeypatch.setattr(oracle, "mult_matrix", refuse)
-    monkeypatch.setattr(oracle, "_ci_rows", refuse)
+    monkeypatch.setattr(oracle, "ci_basis", refuse)
     code, out, _ = run_cli(capsys, "rank", "--powers", "3,3,3,3", "--k", "3", "--degree", "3000")
     assert code == 0
     assert out == '{"k":3,"j":3000,"dim_domain":0,"dim_codomain":0,"rank":0,"kernel":0,"cokernel":0,"maximal":true}\n'
+
+
+def test_non_artinian_rank_at_a_huge_degree_stays_in_the_complete_intersection(capsys, monkeypatch):
+    # Two cubes in three variables leave a free variable, so the quotient
+    # never ends, but its pieces are the 9 monomials outside (x^3, y^3): each
+    # is built on those, never on the C(3002, 2) monomials of degree 3000.
+    def refuse(*args):
+        raise AssertionError("built a full-ring piece")
+
+    oracle.ideal_piece_dim.cache_clear()
+    monkeypatch.setattr(polyring, "_index_map", refuse)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "rank", "--vars", "3", "--powers", "3,3", "--k", "1", "--degree", "3000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    # The degree-3000 monomials alone would take 108 MB as int64 exponents.
+    assert peak < 10 * 2**20
+    assert code == 0
+    assert out == '{"k":1,"j":3000,"dim_domain":9,"dim_codomain":9,"rank":9,"kernel":0,"cokernel":0,"maximal":true}\n'
 
 
 def test_scan_output(capsys):

@@ -9,6 +9,7 @@ from leflab.modp import PrimeField, matrix_rank
 from leflab.polyring import (
     LinearFormRep,
     _index_map,
+    ci_basis,
     graded_dim,
     monomial_basis,
     mult_matrix,
@@ -142,7 +143,7 @@ def test_power_mod_small_prime_at_and_past_p():
 
 def test_mult_matrix_by_x_in_two_vars():
     coords = power_coords(F, LinearFormRep((1, 0)), 1)
-    m = mult_matrix(F, 2, coords, 1, 2)
+    m = mult_matrix(F, 2, [(coords, 1)], 2)
     assert m.rows == 3 and m.cols == 2
     assert m.entries.tolist() == [[1, 0], [0, 1], [0, 0]]
 
@@ -154,7 +155,7 @@ def test_mult_matrix_shapes():
         k = int(rng.integers(1, 4))
         j = k + int(rng.integers(0, 4))
         form = LinearFormRep(tuple(int(x) for x in rng.integers(1, 100, size=r)))
-        m = mult_matrix(F, r, power_coords(F, form, k), k, j)
+        m = mult_matrix(F, r, [(power_coords(F, form, k), k)], j)
         assert m.rows == comb(j + r - 1, r - 1)
         assert m.cols == comb(j - k + r - 1, r - 1)
 
@@ -163,8 +164,8 @@ def test_mult_matrices_commute():
     x = power_coords(F, LinearFormRep((1, 0, 0)), 1)
     y = power_coords(F, LinearFormRep((0, 1, 0)), 1)
     j = 4
-    xy = mult_matrix(F, 3, x, 1, j).entries @ mult_matrix(F, 3, y, 1, j - 1).entries % F.modulus
-    yx = mult_matrix(F, 3, y, 1, j).entries @ mult_matrix(F, 3, x, 1, j - 1).entries % F.modulus
+    xy = mult_matrix(F, 3, [(x, 1)], j).entries @ mult_matrix(F, 3, [(y, 1)], j - 1).entries % F.modulus
+    yx = mult_matrix(F, 3, [(y, 1)], j).entries @ mult_matrix(F, 3, [(x, 1)], j - 1).entries % F.modulus
     assert (xy == yx).all()
 
 
@@ -176,7 +177,7 @@ def test_power_multiplication_is_injective_on_ring():
         k = int(rng.integers(1, 4))
         j = k + int(rng.integers(0, 4))
         form = LinearFormRep(tuple(int(x) for x in rng.integers(0, F.modulus, size=r - 1)) + (1,))
-        m = mult_matrix(F, r, power_coords(F, form, k), k, j)
+        m = mult_matrix(F, r, [(power_coords(F, form, k), k)], j)
         assert matrix_rank(m) == m.cols
 
 
@@ -189,5 +190,54 @@ def test_mult_matrix_matches_dict_reference(data):
     n_terms = graded_dim(r, f_degree)
     coeff = st.one_of(st.just(0), st.integers(-3 * F.modulus, 3 * F.modulus))
     f = data.draw(st.lists(coeff, min_size=n_terms, max_size=n_terms), label="f")
-    got = mult_matrix(F, r, np.array(f, dtype=np.int64), f_degree, target)
+    got = mult_matrix(F, r, [(np.array(f, dtype=np.int64), f_degree)], target)
     assert got.entries.tolist() == reference_mult(r, f, f_degree, target).tolist()
+
+
+def kept_rows(num_vars, caps, degree):
+    """Rows of the degree-`degree` monomial basis outside (x_m^caps[m])."""
+    bound = np.array([degree + 1 if c is None else c for c in caps], dtype=np.int64)
+    return np.flatnonzero((monomial_basis(num_vars, degree) < bound).all(axis=1))
+
+
+caps_lists = st.integers(2, 5).flatmap(
+    lambda r: st.lists(st.one_of(st.none(), st.integers(1, 6)), min_size=r, max_size=r).map(tuple)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caps_lists, st.integers(0, 10))
+def test_ci_basis_is_the_monomials_outside_the_caps(caps, degree):
+    r = len(caps)
+    got = ci_basis(caps, degree)
+    assert got.shape[1] == r and not got.flags.writeable
+    assert got.tolist() == monomial_basis(r, degree)[kept_rows(r, caps, degree)].tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ci_block_is_the_full_ring_block_on_the_kept_monomials(data):
+    # The reference is the full-ring matrix with the rows and columns outside
+    # J = (x_m^caps[m]) sliced out, one block per factor.
+    caps = data.draw(caps_lists, label="caps")
+    r = len(caps)
+    j = data.draw(st.integers(0, 10), label="j")
+    field = PrimeField(data.draw(st.sampled_from((7, 2**31 - 1)), label="p"))
+    factors = []
+    for _ in range(data.draw(st.integers(0, 3), label="factors")):
+        a = data.draw(st.integers(0, min(6, j)), label="a")
+        if data.draw(st.booleans(), label="power"):
+            coeffs = data.draw(st.lists(st.integers(0, field.modulus - 1), min_size=r, max_size=r).filter(any))
+            coords = power_coords(field, LinearFormRep(tuple(coeffs)), a) if a else np.ones(1, dtype=np.int64)
+        else:
+            coeff = st.integers(-3 * field.modulus, 3 * field.modulus)
+            coords = np.array(data.draw(st.lists(coeff, min_size=graded_dim(r, a), max_size=graded_dim(r, a))), dtype=np.int64)
+        factors.append((coords, a))
+    rows = kept_rows(r, caps, j)
+    full = [mult_matrix(field, r, [factor], j).entries for factor in factors]
+    expected = [m[np.ix_(rows, kept_rows(r, caps, j - a))] for m, (_, a) in zip(full, factors)]
+    got = mult_matrix(field, r, factors, j, caps)
+    assert got.entries.shape == (rows.size, sum(m.shape[1] for m in expected))
+    if expected:
+        assert (got.entries == np.hstack(expected)).all()
+        assert (mult_matrix(field, r, factors, j).entries == np.hstack(full)).all()
