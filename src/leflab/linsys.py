@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import comb, perm
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -110,37 +110,67 @@ def ah_double_dim(d: int, m: int) -> int:
     return max(0, binom(d + 2, 2) - 3 * m)
 
 
-def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> int:
-    """Rank of the derivative-conditions matrix at one random point set.
+def _draw_points(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """n distinct points of the affine plane over F_p, one (x, y) row each.
+
+    The pairs come in one block of n, topped up by one more pair for each
+    pair that repeats an earlier one; the first occurrences are kept, in
+    draw order.  These are the points, and the generator state, of drawing x
+    then y one scalar at a time and redrawing a repeated pair.
+    """
+    if n > p * p:
+        raise ValueError(f"{n} distinct points do not fit in the plane over F_{p}")
+    pairs = rng.integers(0, p, size=(n, 2))
+    while True:
+        _, first = np.unique(pairs[:, 0] * p + pairs[:, 1], return_index=True)
+        if len(first) == n:
+            return pairs[np.sort(first)]
+        pairs = np.vstack([pairs, rng.integers(0, p, size=(n - len(first), 2))])
+
+
+def _conditions_matrix(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> np.ndarray:
+    """The derivative-conditions matrix at one random point set.
 
     A point of multiplicity b contributes the order-(b-1) partial-derivative
     functionals; vanishing of these forces all lower orders as well (Euler),
     so the rank matches the full order-<b family.  Multiplicities above d+1
     are clamped: vanishing to order d+1 already kills every degree-d curve.
+
+    The points come from `_draw_points`, in one block and with the stream of
+    scalar draws.  Rows go point by point, in monomial order within a point.
+    The points of one run of equal clamped multiplicities share one
+    falling-factorial block, scaled by each point's powers in one broadcast.
     """
     d = sys.degree
     p = field.modulus
     a, b, c = monomial_basis(3, d).T
+    pts = _draw_points(sys.num_points, p, rng)
+    # pows[0][i, e] = x_i^e and pows[1][i, e] = y_i^e mod p.
+    pows = np.ones((2, len(pts), d + 1), dtype=np.int64)
+    for e in range(1, d + 1):
+        pows[..., e] = pows[..., e - 1] * pts.T % p
     # falling[n, u] = n (n-1) ... (n-u+1) mod p, zero for u > n.
-    falling = np.array([[perm(n, u) % p for u in range(d + 1)] for n in range(d + 1)], dtype=np.int64)
+    falling = np.ones((d + 1, d + 1), dtype=np.int64)
+    for u in range(1, d + 1):
+        falling[:, u] = falling[:, u - 1] * (np.arange(d + 1) - u + 1) % p
     blocks = []
-    seen = set()
-    for mult in sys.mults:
-        while True:
-            pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
-            if pt not in seen:
-                seen.add(pt)
-                break
-        xpow, ypow = (np.array([pow(t, e, p) for e in range(d + 1)], dtype=np.int64) for t in pt)
+    stop = 0
+    for order, run in groupby(min(mult, d + 1) - 1 for mult in sys.mults):
+        start, stop = stop, stop + sum(1 for _ in run)
         # One row per partial derivative of that order, u, v and w times in x, y
-        # and z, evaluated at (x, y, z) = (*pt, 1).
-        u, v, w = (col[:, None] for col in monomial_basis(3, min(mult, d + 1) - 1).T)
-        block = falling[a, u] * falling[b, v] % p * falling[c, w] % p
-        block = block * xpow[np.maximum(a - u, 0)] % p * ypow[np.maximum(b - v, 0)] % p
-        blocks.append(block)
-    if not blocks:
-        return 0
-    return matrix_rank(DenseMatrix.from_reduced(field, np.vstack(blocks)))
+        # and z, evaluated at (x, y, z) = (x_i, y_i, 1) for each point i of the run.
+        u, v, w = (col[:, None] for col in monomial_basis(3, order).T)
+        shared = falling[a, u] * falling[b, v] % p * falling[c, w] % p
+        xpow, ypow = pows[:, start:stop]
+        block = shared * xpow[:, np.maximum(a - u, 0)] % p * ypow[:, np.maximum(b - v, 0)] % p
+        blocks.append(block.reshape(-1, len(a)))
+    return np.concatenate(blocks) if blocks else np.empty((0, len(a)), dtype=np.int64)
+
+
+def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> int:
+    """Rank of the derivative-conditions matrix at one random point set."""
+    matrix = _conditions_matrix(sys, field, rng)
+    return matrix_rank(DenseMatrix.from_reduced(field, matrix)) if len(matrix) else 0
 
 
 def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:

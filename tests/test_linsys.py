@@ -2,12 +2,16 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leflab import linsys
 from leflab.linsys import (
     PlaneSystem,
     StepNotApplicable,
+    _conditions_matrix,
     _conditions_rank,
+    _draw_points,
     ah_double_dim,
     bezout_step,
     binom,
@@ -20,7 +24,6 @@ from leflab.linsys import (
 )
 from leflab.modp import DenseMatrix, PrimeField, matrix_rank
 from leflab.oracle import ExponentSpec
-from leflab.polyring import monomial_basis
 
 
 def test_normalization():
@@ -89,36 +92,57 @@ def test_fatpoint_dim_exceptional_cases():
     assert fatpoint_dim(PlaneSystem(5, (3, 3, 2))) == 6
 
 
-def scalar_conditions_rank(sys_, field, rng):
+def test_fatpoint_dim_on_the_full_double_point_table():
+    # The whole table of the planes benchmark workload, d <= 16 and m <= 40.
+    for d in range(17):
+        for m in range(41):
+            assert fatpoint_dim(PlaneSystem(d, (2,) * m)) == ah_double_dim(d, m), (d, m)
+
+
+def scalar_conditions_matrix(sys_, p, rng):
     """The conditions matrix built one entry at a time, as a reference.
 
-    Draws the same points as `_conditions_rank` from the same generator.
+    Draws x then y one scalar at a time and redraws a pair that repeats an
+    earlier point.  Returns the rows, the points in draw order and the number
+    of redrawn pairs.
     """
-    d, p = sys_.degree, field.modulus
-    exps = monomial_basis(3, d).tolist()
-    rows, seen = [], set()
+    d = sys_.degree
+    exps = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+    rows, points, skipped = [], [], 0
     for mult in sys_.mults:
-        while True:
+        pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
+        while pt in points:
+            skipped += 1
             pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
-            if pt not in seen:
-                seen.add(pt)
-                break
+        points.append(pt)
         x0, y0 = pt
         order = min(mult, d + 1) - 1
-        for u in range(order + 1):
-            for v in range(order + 1 - u):
+        for u in range(order, -1, -1):
+            for v in range(order - u, -1, -1):
                 w = order - u - v
-                row = [0] * len(exps)
-                for idx, (a, b, c) in enumerate(exps):
+                row = []
+                for a, b, c in exps:
                     if a < u or b < v or c < w:
+                        row.append(0)
                         continue
                     coeff = 1
                     for n, k in ((a, u), (b, v), (c, w)):
                         for t in range(k):
                             coeff = coeff * (n - t) % p
-                    row[idx] = coeff * pow(x0, a - u, p) * pow(y0, b - v, p) % p
+                    row.append(coeff * pow(x0, a - u, p) * pow(y0, b - v, p) % p)
                 rows.append(row)
-    return matrix_rank(DenseMatrix(field, rows)) if rows else 0
+    return rows, points, skipped
+
+
+def assert_matches_scalar_reference(sys_, field, seed):
+    """Same entries, rows in the same order, and the same generator state after."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    matrix = _conditions_matrix(sys_, field, rng)
+    rows, points, skipped = scalar_conditions_matrix(sys_, field.modulus, ref_rng)
+    assert matrix.dtype == np.int64 and matrix.shape == (len(rows), binom(sys_.degree + 2, 2)), sys_
+    assert matrix.tolist() == rows, sys_
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, sys_
+    return rows, points, skipped
 
 
 @pytest.mark.parametrize("prime", [2147483647, 101])
@@ -135,9 +159,41 @@ def test_conditions_rank_matches_scalar_reference(prime):
     ]
     for seed, sys_ in enumerate(systems):
         for trial in range(2):
+            rows, _, _ = assert_matches_scalar_reference(sys_, field, [seed, trial])
             rank = _conditions_rank(sys_, field, np.random.default_rng([seed, trial]))
-            assert rank == scalar_conditions_rank(sys_, field, np.random.default_rng([seed, trial])), sys_
+            assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
     assert _conditions_rank(PlaneSystem(4, (2,) * 5), field, np.random.default_rng(0)) == 14
+
+
+@st.composite
+def plane_systems(draw):
+    d = draw(st.integers(0, 12))
+    return PlaneSystem(d, tuple(draw(st.lists(st.integers(1, d + 3), max_size=8))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1))
+def test_conditions_matrix_matches_scalar_reference(sys_, prime, seed):
+    assert_matches_scalar_reference(sys_, PrimeField(prime), seed)
+
+
+def test_conditions_matrix_redraws_repeated_points():
+    # F_3 has nine affine points, so four to six draws often repeat a pair.
+    field = PrimeField(3)
+    skipped = 0
+    for seed in range(12):
+        for mults in ((4, 3, 2, 1), (3, 3, 2, 2, 1), (5, 2, 2, 1, 1, 1)):
+            sys_ = PlaneSystem(4, mults)
+            _, points, skips = assert_matches_scalar_reference(sys_, field, seed)
+            drawn = _draw_points(len(mults), 3, np.random.default_rng(seed))
+            assert [tuple(pt) for pt in drawn.tolist()] == points
+            skipped += skips
+    assert skipped > 0
+
+
+def test_conditions_matrix_refuses_more_points_than_the_plane_has():
+    with pytest.raises(ValueError):
+        _conditions_matrix(PlaneSystem(3, (1,) * 10), PrimeField(3), np.random.default_rng(0))
 
 
 def test_fatpoint_dim_degenerate():
