@@ -6,6 +6,8 @@ general double points are the classical exception where the expected
 dimension is zero but a double conic survives.
 """
 
+import sys
+
 from leflab.linsys import (
     PlaneSystem,
     bezout_step,
@@ -30,10 +32,14 @@ print(exceptional, "expected", expected_dim(exceptional), "actual", fatpoint_dim
 print("the unique curve is the double conic through the five points")
 
 print()
-sys_ = PlaneSystem(4, (2, 2, 2))
-print("one Cremona step:", sys_, "->", cremona_step(sys_))
-print("dimensions agree:", fatpoint_dim(sys_), "==", fatpoint_dim(cremona_step(sys_)))
+mismatches = 0
+for name, step, sys_ in (
+    ("one Cremona step:", cremona_step, PlaneSystem(4, (2, 2, 2))),
+    ("one Bezout split:", bezout_step, PlaneSystem(3, (2, 2))),
+):
+    print(name, sys_, "->", step(sys_))
+    before, after = fatpoint_dim(sys_), fatpoint_dim(step(sys_))
+    print("dimensions agree:", before, "==", after)
+    mismatches += before != after
 
-sys_ = PlaneSystem(3, (2, 2))
-print("one Bezout split:", sys_, "->", bezout_step(sys_))
-print("dimensions agree:", fatpoint_dim(sys_), "==", fatpoint_dim(bezout_step(sys_)))
+sys.exit("a reduction changed the dimension" if mismatches else 0)

@@ -8,6 +8,8 @@ available from the command line:
     leflab verify --vars 3 --k 3 --s-min 4 --s-max 5 --a-min 2 --a-max 4
 """
 
+import sys
+
 from leflab.harness import SweepConfig, run_verification
 
 config = SweepConfig(num_vars=3, k=3, s_range=(4, 5), exp_range=(2, 4), trials=3)
@@ -24,3 +26,4 @@ print(
     f"\n{summary['rows']} sweep points, {summary['agreements']} agreements,"
     f" {summary['disagreements']} disagreements"
 )
+sys.exit(f"theory and oracle disagree on {summary['disagreements']} rows" if summary["disagreements"] else 0)

@@ -33,7 +33,10 @@ rank is short go to `mult_rank_report`, which tries further forms there.
 forms are independent exactly when the frame chose the first r and every
 square minor of the rest block B in [I_r | B] is nonzero (`all_minors_nonzero`).
 The standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
-stays in the full ring as an independent check.
+stays in the full ring as a check: `mult_matrix` with no caps, the complete
+intersection with every variable free.  It shares the index map with the
+frame route, and the tests check that map against a product of monomial
+dicts; it shares no frame, exchange step or rank-by-difference.
 The frame alone knows where a quotient ends: when it caps every variable,
 the ideal is all of R_j past the socle degree sum(caps) - r, where
 `ideal_piece_dim` builds nothing; a free variable means a non-artinian one.
@@ -429,8 +432,9 @@ def mult_matrix_on_quotient(
 ) -> DenseMatrix:
     """The induced multiplication-by-form**k matrix in quotient coordinates.
 
-    Independent route to the same rank as `rank_with_form`: expresses the map
-    on standard-monomial bases of the two quotient pieces via normal forms.
+    A second route to the same rank as `rank_with_form`, sharing no frame
+    with it: expresses the map on standard-monomial bases of the two
+    quotient pieces via normal forms.
     """
     field, r = sample.field, sample.spec.num_vars
     _, _, std_dom = standard_monomials(sample, j - k)

@@ -46,8 +46,8 @@ def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
 
 
 # Unbounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 1,321
-# entries, 937 for whole caps tuples and the rest for their suffixes (the
-# full-ring bases among them).
+# entries, 937 for whole caps tuples and the rest for their suffixes (25
+# full-ring bases among them); a cold pass of the wlp4 benchmark leaves 381.
 @lru_cache(maxsize=None)
 def ci_basis(caps: tuple[int | None, ...], degree: int) -> np.ndarray:
     """Exponents of the degree-`degree` monomials outside (x_m^caps[m]), read-only.
@@ -88,31 +88,20 @@ def _key_weights(num_vars: int, target_degree: int) -> np.ndarray:
     return base ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
 
 
-# Unbounded: keyed by shapes, not samples.  Only the full-ring route builds
-# these (the standard-monomial cross-check); `verify --a-max 8` builds none.
-@lru_cache(maxsize=None)
-def _index_map(num_vars: int, f_degree: int, target_degree: int) -> np.ndarray:
-    """map[t, c]: target-basis row of (term t of degree f_degree) * (source monomial c)."""
-    weights = _key_weights(num_vars, target_degree)
-    neg_keys = -(monomial_basis(num_vars, target_degree) @ weights)
-    terms = monomial_basis(num_vars, f_degree) @ weights
-    sources = monomial_basis(num_vars, target_degree - f_degree) @ weights
-    out = np.searchsorted(neg_keys, -(terms[:, None] + sources[None, :]))
-    out.flags.writeable = False
-    return out
-
-
 # Bounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 614
-# entries (about 1 MB) and `verify --k 1 --a-max 8` 702; the six-variable
-# scan of (5,)*7 leaves 20 of 16 MB at a 94 MB peak.  The bound keeps every
-# sweep whole and stops a long run over many shapes from growing unchecked.
+# entries (about 1 MB) and `verify --k 1 --a-max 8` 702, none of them for the
+# full ring; a cold pass of the wlp4 benchmark leaves 82 (0.7 MB), 18 of them
+# full-ring maps of the standard-monomial route; the six-variable scan of
+# (5,)*7 leaves 20 of 16 MB at a 94 MB peak.  The bound keeps every sweep
+# whole and stops a long run over many shapes from growing unchecked.
 @lru_cache(maxsize=1024)
 def _ci_index_map(
     caps: tuple[int | None, ...], f_degree: int, target_degree: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, terms): the cells of multiplication by a degree-f_degree form modulo J.
 
-    J is (x_m^caps[m]).  Cell i is the product of the term at `terms[i]` of
+    J is (x_m^caps[m]); with every cap None it is 0, and the cells are all
+    of the full-ring map.  Cell i is the product of the term at `terms[i]` of
     the degree-f_degree monomial basis with source `cols[i]` of
     `ci_basis(caps, target_degree - f_degree)`, at row `rows[i]` of
     `ci_basis(caps, target_degree)`.  Only products outside J are cells; a
@@ -177,32 +166,32 @@ def mult_matrix(
 ) -> DenseMatrix:
     """Matrix of (g_1, ..., g_n) -> f_1 g_1 + ... + f_n g_n into one graded piece.
 
-    `factors` lists each f_i as (coordinates, degree).  Rows are indexed by
-    the monomials of degree target_degree; the columns come in one block per
-    factor, indexed by the monomials of degree target_degree - deg f_i, and
-    the column of a monomial m in block i holds the coordinates of f_i*m.
-    With `caps` (one per variable, None for a free one) every basis is
-    `ci_basis`, the monomials outside J = (x_m^caps[m]), and products in J
-    are dropped: the map between graded pieces of R/J, built from the terms
-    of each f_i outside J without the full-ring bases.
+    `factors` lists each f_i as (coordinates, degree), one coordinate per
+    monomial of its degree.  Rows are indexed by the monomials of degree
+    target_degree; the columns come in one block per factor, indexed by the
+    monomials of degree target_degree - deg f_i, and the column of a monomial
+    m in block i holds the coordinates of f_i*m.  Every basis is `ci_basis`,
+    the monomials outside J = (x_m^caps[m]) for `caps` (one per variable,
+    None for a free one), and products in J are dropped: the map between
+    graded pieces of R/J, built from the terms of each f_i outside J.  No
+    caps leaves every variable free, so J = 0 and the pieces are R's.
+    Raises ValueError on caps or coordinates of the wrong length.
     """
+    if caps is None:
+        caps = (None,) * num_vars
+    if len(caps) != num_vars:
+        raise ValueError(f"{len(caps)} caps for {num_vars} variables")
     if any(f_degree > target_degree for _, f_degree in factors):
         raise ValueError("target degree below the degree of a factor")
-    if caps is None:
-        widths = [graded_dim(num_vars, target_degree - f_degree) for _, f_degree in factors]
-        out = np.zeros((graded_dim(num_vars, target_degree), sum(widths)), dtype=np.int64)
-    else:
-        widths = [len(ci_basis(caps, target_degree - f_degree)) for _, f_degree in factors]
-        out = np.zeros((len(ci_basis(caps, target_degree)), sum(widths)), dtype=np.int64)
+    widths = [len(ci_basis(caps, target_degree - f_degree)) for _, f_degree in factors]
+    out = np.zeros((len(ci_basis(caps, target_degree)), sum(widths)), dtype=np.int64)
     offset = 0
     for (f_coords, f_degree), width in zip(factors, widths):
         coeffs = np.asarray(f_coords, dtype=np.int64) % field_.modulus
+        if coeffs.shape != (graded_dim(num_vars, f_degree),):
+            raise ValueError(f"a degree-{f_degree} factor needs {graded_dim(num_vars, f_degree)} coordinates")
         # Distinct terms of f send a monomial m to distinct products, so no cell is hit twice.
-        if caps is None:
-            index = _index_map(num_vars, f_degree, target_degree)
-            out[index, np.arange(offset, offset + width)] = coeffs[:, None]
-        else:
-            rows, cols, terms = _ci_index_map(caps, f_degree, target_degree)
-            out[rows, cols + offset] = coeffs[terms]
+        rows, cols, terms = _ci_index_map(caps, f_degree, target_degree)
+        out[rows, cols + offset] = coeffs[terms]
         offset += width
     return DenseMatrix.from_reduced(field_, out)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from leflab.modp import PrimeField, matrix_rank
 from leflab.polyring import (
     LinearFormRep,
-    _index_map,
     ci_basis,
     graded_dim,
     monomial_basis,
@@ -55,28 +54,6 @@ def test_basis_order_is_reproducible_and_graded_lex():
             assert all(sum(e) == d for e in rows)
             assert rows == sorted(set(rows), reverse=True)
             assert not monomial_basis(r, d).flags.writeable
-
-
-def test_index_map_inverts_the_ordering():
-    # Times the constant monomial, each source monomial lands on its own row.
-    for r in range(1, 5):
-        for d in range(0, 5):
-            assert _index_map(r, 0, d).tolist() == [list(range(graded_dim(r, d)))]
-
-
-def test_index_map_rows_are_products():
-    for r, f, t in [(2, 1, 3), (3, 2, 4), (4, 3, 3), (5, 1, 2)]:
-        index = _index_map(r, f, t)
-        terms, sources, targets = monomial_basis(r, f), monomial_basis(r, t - f), monomial_basis(r, t)
-        assert index.shape == (len(terms), len(sources))
-        assert not index.flags.writeable
-        assert (targets[index] == terms[:, None, :] + sources[None, :, :]).all()
-
-
-def test_index_map_refuses_keys_past_int64():
-    assert _index_map(39, 1, 2).shape == (39, 39)  # 3**39 < 2**63
-    with pytest.raises(ValueError):
-        _index_map(40, 1, 2)
 
 
 def test_zero_form_rejected():
@@ -181,6 +158,24 @@ def test_power_multiplication_is_injective_on_ring():
         assert matrix_rank(m) == m.cols
 
 
+def test_mult_matrix_checks_its_inputs():
+    # Unchecked, a one-entry vector would broadcast over every term of a
+    # full-ring factor, and a too-long one would pass with or without caps.
+    for caps in (None, (2, None, 3)):
+        for coords in (np.array([5]), np.arange(2), np.arange(4), np.ones((3, 1), dtype=np.int64)):
+            with pytest.raises(ValueError, match="coordinates"):
+                mult_matrix(F, 3, [(coords, 1)], 2, caps)
+    for caps in ((2, None), (2, None, 3, 3)):
+        with pytest.raises(ValueError, match="caps"):
+            mult_matrix(F, 3, [(np.arange(3), 1)], 2, caps)
+
+
+def test_mult_matrix_refuses_keys_past_int64():
+    assert mult_matrix(F, 39, [(np.ones(39, dtype=np.int64), 1)], 2).entries.shape == (780, 39)  # 3**39 < 2**63
+    with pytest.raises(ValueError, match="overflow"):
+        mult_matrix(F, 40, [(np.ones(40, dtype=np.int64), 1)], 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mult_matrix_matches_dict_reference(data):
@@ -217,8 +212,8 @@ def test_ci_basis_is_the_monomials_outside_the_caps(caps, degree):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_ci_block_is_the_full_ring_block_on_the_kept_monomials(data):
-    # The reference is the full-ring matrix with the rows and columns outside
-    # J = (x_m^caps[m]) sliced out, one block per factor.
+    # The reference is the dict product's full-ring matrix with the rows and
+    # columns outside J = (x_m^caps[m]) sliced out, one block per factor.
     caps = data.draw(caps_lists, label="caps")
     r = len(caps)
     j = data.draw(st.integers(0, 10), label="j")
@@ -234,7 +229,7 @@ def test_ci_block_is_the_full_ring_block_on_the_kept_monomials(data):
             coords = np.array(data.draw(st.lists(coeff, min_size=graded_dim(r, a), max_size=graded_dim(r, a))), dtype=np.int64)
         factors.append((coords, a))
     rows = kept_rows(r, caps, j)
-    full = [mult_matrix(field, r, [factor], j).entries for factor in factors]
+    full = [reference_mult(r, coords, a, j, field.modulus) for coords, a in factors]
     expected = [m[np.ix_(rows, kept_rows(r, caps, j - a))] for m, (_, a) in zip(full, factors)]
     got = mult_matrix(field, r, factors, j, caps)
     assert got.entries.shape == (rows.size, sum(m.shape[1] for m in expected))
