@@ -7,6 +7,8 @@ degrees 1 and 4 the two graded pieces both have dimension 3, yet the map
 misses being an isomorphism by exactly one.
 """
 
+import sys
+
 import leflab as L
 
 spec = L.ExponentSpec(num_vars=3, exponents=(3, 3, 3, 3))
@@ -16,8 +18,9 @@ hd = L.hilbert_function(sample)
 print("exponents:      ", spec.exponents)
 print("hilbert function", list(hd), "  regularity", L.regularity(sample))
 
+scans = {}
 for k in (1, 2, 3):
-    failures = L.lefschetz_scan(sample, k)
+    failures = scans[k] = L.lefschetz_scan(sample, k)
     label = "maximal rank everywhere" if not failures else f"fails at {failures}"
     print(f"multiplication by a general power k={k}: {label}")
 
@@ -29,3 +32,7 @@ print(f"  rank {report.rank} (kernel {report.kernel_dim}, cokernel {report.coker
 verdict = L.classify_cube(spec)
 print("\nclosed-form engine agrees:", verdict.status, "at degrees", verdict.failing_degrees)
 print("witness data:", dict(verdict.witness))
+
+observed = tuple(f.degree for f in scans[3])
+if observed != verdict.failing_degrees:
+    sys.exit(f"theory fails at {verdict.failing_degrees}, the oracle at {observed}")

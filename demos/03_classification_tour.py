@@ -9,6 +9,8 @@ plus s copies of t fails exactly when s is odd and t >= s) and WLP questions
 in four.
 """
 
+import sys
+
 import leflab as L
 from leflab import theory
 
@@ -24,8 +26,10 @@ for s in range(4, 9):
 print("\nspot-check (6, 5) against the exact oracle:")
 spec = L.ExponentSpec(3, (5,) * 6)
 sample = L.sample_ideal(spec)
-print("  theory: ", theory.classify_cube(spec).failing_degrees)
-print("  oracle: ", L.lefschetz_scan(sample, 3))
+predicted = theory.classify_cube(spec).failing_degrees
+observed = L.lefschetz_scan(sample, 3)
+print("  theory: ", predicted)
+print("  oracle: ", observed)
 
 print("\nSLP after quotienting by a general cube, uniform powers:")
 for s, t in ((5, 5), (5, 4), (4, 100), (7, 9)):
@@ -42,3 +46,6 @@ for s, t in ((4, 3), (5, 6), (6, 5), (6, 7)):
     verdict = theory.slp_verdict(L.ExponentSpec(4, (3,) + (t,) * s)).verdict
     where = f" at degree {verdict.failing_degrees[0]}" if verdict.failures else ""
     print(f"  s={s}, t={t}: {verdict.status}{where}")
+
+if tuple(f.degree for f in observed) != predicted:
+    sys.exit(f"theory fails at {predicted} for (5,)*6, the oracle at {observed}")

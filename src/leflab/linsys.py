@@ -168,18 +168,42 @@ def _conditions_matrix(sys: PlaneSystem, field: PrimeField, rng: np.random.Gener
 
 
 def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> int:
-    """Rank of the derivative-conditions matrix at one random point set."""
-    matrix = _conditions_matrix(sys, field, rng)
-    return matrix_rank(DenseMatrix.from_reduced(field, matrix)) if len(matrix) else 0
+    """Rank of the derivative-conditions matrix at one point set.
+
+    The three heaviest points sit at (1:0:0), (0:1:0) and (0:0:1); only the
+    other n - 3 are drawn, by `_conditions_matrix`.  The dimension at general
+    points does not move: PGL(3) is transitive on non-collinear triples and
+    the generic-rank locus is open, so with the rest random the rank drops
+    only at special configurations, as before.  A point of multiplicity m at
+    (0:0:1) has one row per monomial x^a y^b z^c with a + b < m, a nonzero
+    multiple of that monomial's unit vector (likewise b + c < m at (1:0:0)
+    and a + c < m at (0:1:0)).  These rows span the coordinates of a killed
+    column set K, so the rank is |K| plus the rank of the other rows outside
+    K.  The multiples, and the Euler reduction behind the order-(m-1) rows,
+    are products of integers up to d: both need p > d.
+    """
+    d = sys.degree
+    if field.modulus <= d:
+        raise ValueError(f"the conditions matrix needs p > d, got p = {field.modulus}, d = {d}")
+    exps = monomial_basis(3, d).T
+    killed = np.zeros(exps.shape[1], dtype=bool)
+    for mult, e in zip(sys.mults[:3], exps):
+        killed |= e > d - mult
+    rest = _conditions_matrix(PlaneSystem(d, sys.mults[3:]), field, rng)[:, ~killed]
+    return int(killed.sum()) + (matrix_rank(DenseMatrix.from_reduced(field, rest)) if rest.size else 0)
 
 
 def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     """Dimension of the system at general points, via the conditions matrix.
 
     The conditions rank at special points only drops, so the generic
-    dimension is the smaller value over two point sets drawn over
+    dimension is the smaller value over two point sets over
     F_DEFAULT_PRIME; the second is drawn only when the first misses the
-    expected dimension.
+    expected dimension.  Each set puts its three heaviest points at the
+    coordinate points and draws the rest (`_conditions_rank`): the
+    dimension is invariant under PGL(3), which moves any three
+    non-collinear points there.  The prime exceeds every degree the
+    matrix can hold, as the derivative rows need (p > d).
     """
     if sys.degree < 0:
         return 0

@@ -99,23 +99,36 @@ def test_fatpoint_dim_on_the_full_double_point_table():
             assert fatpoint_dim(PlaneSystem(d, (2,) * m)) == ah_double_dim(d, m), (d, m)
 
 
-def scalar_conditions_matrix(sys_, p, rng):
-    """The conditions matrix built one entry at a time, as a reference.
+def scalar_draw_points(n, p, rng):
+    """n affine points drawn x then y one scalar at a time, redrawing a repeated pair.
 
-    Draws x then y one scalar at a time and redraws a pair that repeats an
-    earlier point.  Returns the rows, the points in draw order and the number
-    of redrawn pairs.
+    Returns the points in draw order and the number of redrawn pairs.
     """
-    d = sys_.degree
-    exps = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
-    rows, points, skipped = [], [], 0
-    for mult in sys_.mults:
+    points, skipped = [], 0
+    for _ in range(n):
         pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
         while pt in points:
             skipped += 1
             pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
         points.append(pt)
-        x0, y0 = pt
+    return points, skipped
+
+
+def scalar_exponents(d):
+    """The degree-d monomials (a, b, c) of x^a y^b z^c, in `monomial_basis` order."""
+    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+
+
+def scalar_conditions_matrix(sys_, p, points):
+    """The conditions matrix at projective points (x, y, z), one entry at a time.
+
+    The i-th point carries the i-th multiplicity; rows go point by point, in
+    monomial order within a point.
+    """
+    d = sys_.degree
+    exps = scalar_exponents(d)
+    rows = []
+    for mult, pt in zip(sys_.mults, points):
         order = min(mult, d + 1) - 1
         for u in range(order, -1, -1):
             for v in range(order - u, -1, -1):
@@ -129,39 +142,73 @@ def scalar_conditions_matrix(sys_, p, rng):
                     for n, k in ((a, u), (b, v), (c, w)):
                         for t in range(k):
                             coeff = coeff * (n - t) % p
-                    row.append(coeff * pow(x0, a - u, p) * pow(y0, b - v, p) % p)
+                    for x, e in zip(pt, (a - u, b - v, c - w)):
+                        coeff = coeff * pow(x, e, p) % p
+                    row.append(coeff)
                 rows.append(row)
-    return rows, points, skipped
+    return rows
 
 
 def assert_matches_scalar_reference(sys_, field, seed):
     """Same entries, rows in the same order, and the same generator state after."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     matrix = _conditions_matrix(sys_, field, rng)
-    rows, points, skipped = scalar_conditions_matrix(sys_, field.modulus, ref_rng)
+    points, skipped = scalar_draw_points(sys_.num_points, field.modulus, ref_rng)
+    rows = scalar_conditions_matrix(sys_, field.modulus, [(x, y, 1) for x, y in points])
     assert matrix.dtype == np.int64 and matrix.shape == (len(rows), binom(sys_.degree + 2, 2)), sys_
     assert matrix.tolist() == rows, sys_
     assert rng.bit_generator.state == ref_rng.bit_generator.state, sys_
     return rows, points, skipped
 
 
+COORDINATE_POINTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def assert_rank_matches_scalar_reference(sys_, field, seed):
+    """`_conditions_rank` is the full rank at the coordinate points plus the drawn rest.
+
+    The three heaviest points sit at the coordinate points; the rest are the
+    points that the same-seeded generator draws.  Each coordinate-point row
+    is a nonzero multiple of a unit vector, and together they cover exactly
+    the columns of the monomials that vanish there to the multiplicity.
+    """
+    p, d = field.modulus, sys_.degree
+    rank = _conditions_rank(sys_, field, np.random.default_rng(seed))
+    rest, _ = scalar_draw_points(max(sys_.num_points - 3, 0), p, np.random.default_rng(seed))
+    rows = scalar_conditions_matrix(sys_, p, COORDINATE_POINTS + [(x, y, 1) for x, y in rest])
+    assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
+    exps = scalar_exponents(d)
+    # The i-th coordinate point, of multiplicity m, kills the monomials whose
+    # other two exponents sum to less than m.
+    killed = {col for col, e in enumerate(exps) for i, m in enumerate(sys_.mults[:3]) if d - e[i] < m}
+    n_coord = sum(binom(min(m, d + 1) + 1, 2) for m in sys_.mults[:3])
+    support = set()
+    for row in rows[:n_coord]:
+        nonzero = [col for col, x in enumerate(row) if x]
+        assert len(nonzero) == 1, sys_
+        support.add(nonzero[0])
+    assert support == killed, sys_
+
+
+SYSTEMS = [
+    PlaneSystem(4, (2,) * 5),  # Alexander-Hirschowitz exceptions
+    PlaneSystem(2, (2,) * 2),
+    PlaneSystem(6, (3, 3, 2, 2, 1)),
+    PlaneSystem(5, (7, 2)),  # clamped multiplicity
+    PlaneSystem(0, (1,)),
+    PlaneSystem(3),
+    PlaneSystem(9, (4, 4, 3, 3, 2, 2, 1, 1)),
+    PlaneSystem(8, (6, 5, 5, 2)),  # killed sets that overlap
+]
+
+
 @pytest.mark.parametrize("prime", [2147483647, 101])
 def test_conditions_rank_matches_scalar_reference(prime):
     field = PrimeField(prime)
-    systems = [
-        PlaneSystem(4, (2,) * 5),  # Alexander-Hirschowitz exceptions
-        PlaneSystem(2, (2,) * 2),
-        PlaneSystem(6, (3, 3, 2, 2, 1)),
-        PlaneSystem(5, (7, 2)),  # clamped multiplicity
-        PlaneSystem(0, (1,)),
-        PlaneSystem(3),
-        PlaneSystem(9, (4, 4, 3, 3, 2, 2, 1, 1)),
-    ]
-    for seed, sys_ in enumerate(systems):
+    for seed, sys_ in enumerate(SYSTEMS):
         for trial in range(2):
-            rows, _, _ = assert_matches_scalar_reference(sys_, field, [seed, trial])
-            rank = _conditions_rank(sys_, field, np.random.default_rng([seed, trial]))
-            assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
+            assert_matches_scalar_reference(sys_, field, [seed, trial])
+            assert_rank_matches_scalar_reference(sys_, field, [seed, trial])
     assert _conditions_rank(PlaneSystem(4, (2,) * 5), field, np.random.default_rng(0)) == 14
 
 
@@ -175,6 +222,17 @@ def plane_systems(draw):
 @given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1))
 def test_conditions_matrix_matches_scalar_reference(sys_, prime, seed):
     assert_matches_scalar_reference(sys_, PrimeField(prime), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1))
+def test_conditions_rank_matches_scalar_reference_on_random_systems(sys_, prime, seed):
+    assert_rank_matches_scalar_reference(sys_, PrimeField(prime), seed)
+
+
+def test_conditions_rank_needs_p_above_the_degree():
+    with pytest.raises(ValueError):
+        _conditions_rank(PlaneSystem(4, (2, 2)), PrimeField(3), np.random.default_rng(0))
 
 
 def test_conditions_matrix_redraws_repeated_points():
