@@ -72,9 +72,6 @@ class PrimeField:
         if self.modulus.bit_length() > 31:
             raise ValueError("modulus must fit in 31 bits for int64 arithmetic")
 
-    def random_vector(self, rng: np.random.Generator, length: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in rng.integers(0, self.modulus, size=length))
-
 
 class DenseMatrix:
     """An immutable dense matrix over a prime field, entries row-major."""
@@ -162,7 +159,7 @@ def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -170,8 +167,9 @@ def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = a[r, c:] * inv % p
-        rows = r + 1 + np.flatnonzero(a[r + 1:, c])
+        rows = a[r + 1:, c].nonzero()[0]
         if rows.size:
+            rows += r + 1
             a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
@@ -232,17 +230,21 @@ def all_minors_nonzero(rows: Sequence[Sequence[int]], p: int) -> bool:
     Each t x t minor is expanded along its first row into the (t-1)-minors
     kept from the size before; nothing is eliminated.
     """
+    if not all(map(all, rows)):
+        return False
     m = len(rows)
     n = len(rows[0]) if m else 0
-    minors = {((), ()): 1}
-    for t in range(1, min(m, n) + 1):
+    minors = {((i,), (j,)): x for i, row in enumerate(rows) for j, x in enumerate(row)}
+    for t in range(2, min(m, n) + 1):
         prev, minors = minors, {}
         for rs in combinations(range(m), t):
             top, below = rows[rs[0]], rs[1:]
             for cs in combinations(range(n), t):
-                det = sum(
-                    (-1) ** i * top[c] * prev[below, cs[:i] + cs[i + 1:]] for i, c in enumerate(cs)
-                ) % p
+                det = 0
+                for i, c in enumerate(cs):
+                    term = top[c] * prev[below, cs[:i] + cs[i + 1:]]
+                    det += -term if i & 1 else term
+                det %= p
                 if not det:
                     return False
                 minors[rs, cs] = det

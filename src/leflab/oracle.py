@@ -183,21 +183,35 @@ class DegreeFailure(NamedTuple):
 
 
 def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> LinearFormRep:
+    """The next nonzero draw of `num_vars` coefficients in [0, p); a zero draw is drawn again."""
     while True:
-        coeffs = field.random_vector(rng, num_vars)
+        coeffs = rng.integers(0, field.modulus, size=num_vars).tolist()
         if any(coeffs):
-            return LinearFormRep(coeffs)
+            return LinearFormRep(tuple(coeffs))
 
 
 def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) -> IdealSample:
-    """Draw forms for `spec`, seeded by `seed` and the spec, until any min(r, s) are independent."""
+    """Draw forms for `spec`, seeded by `seed` and the spec, until any min(r, s) are independent.
+
+    Each attempt draws its s forms as one (s, r) block, which takes the same
+    values and leaves the generator in the same state as s `random_form`
+    draws.  A zero row, which `random_form` would draw again in place, sends
+    the attempt back to the block's start to be drawn form by form.
+    """
     field = PrimeField(prime)
     bound = 2 * (max(spec.exponents) + spec.s + 10)
     if prime <= bound:
         raise PrimeTooSmallError(f"prime {prime} too small; need > {bound}")
-    rng = np.random.default_rng([seed, spec.num_vars, *spec.exponents])
+    r = spec.num_vars
+    rng = np.random.default_rng([seed, r, *spec.exponents])
     while True:
-        forms = tuple(random_form(field, spec.num_vars, rng) for _ in range(spec.s))
+        state = rng.bit_generator.state
+        rows = rng.integers(0, prime, size=(spec.s, r)).tolist()
+        if all(map(any, rows)):
+            forms = tuple(LinearFormRep(tuple(row)) for row in rows)
+        else:
+            rng.bit_generator.state = state
+            forms = tuple(random_form(field, r, rng) for _ in range(spec.s))
         sample = IdealSample(spec, forms, field, seed)
         if _in_general_position(sample):
             return sample
@@ -243,23 +257,34 @@ def _exchange(frame: CIFrame, form: LinearFormRep, k: int, p: int) -> CIFrame:
     # Python ints: a row of three 31-bit products overflows int64.
     ell = [sum(map(mul, row, form.coeffs)) % p for row in frame.change]
     caps = frame.caps
-    m = max((i for i, x in enumerate(ell) if x), key=lambda i: (caps[i] is None, caps[i] or 0))
+    # The first nonzero coordinate with the largest cap, a free one largest.
+    m = None
+    for i, x in enumerate(ell):
+        if x and (m is None or caps[m] is not None and (caps[i] is None or caps[i] > caps[m])):
+            m = i
     if caps[m] is not None and k >= caps[m]:
         return CIFrame(frame.change, caps, frame.rest + ((LinearFormRep(tuple(ell)), k),))
-    # New variable m is L; y_m = (L - sum_{i != m} ell_i y_i) / ell_m.
+    # New variable m is L; y_m = (L - sum_{i != m} ell_i y_i) / ell_m, so the
+    # old y_m has new coordinates w, and v maps to v - v_m e_m + v_m w.
     inv = pow(ell[m], -1, p)
+    w = [-x * inv % p for x in ell]
+    w[m] = inv
 
     def exchanged(v: tuple[int, ...]) -> tuple[int, ...]:
-        vm = v[m] * inv % p
-        out = [(x - l * vm) % p for x, l in zip(v, ell)]
-        out[m] = vm
+        vm = v[m]
+        out = [(x + vm * y) % p for x, y in zip(v, w)]
+        out[m] = vm * inv % p
         return tuple(out)
 
     rest = tuple((LinearFormRep(exchanged(f.coeffs)), a) for f, a in frame.rest)
     if caps[m] is not None:
-        rest += ((LinearFormRep(exchanged(tuple(int(i == m) for i in range(len(ell))))), caps[m]),)
-    change = tuple(zip(*(exchanged(col) for col in zip(*frame.change))))
-    return _in_cap_order(CIFrame(change, caps[:m] + (k,) + caps[m + 1 :], rest))
+        rest += ((LinearFormRep(tuple(w)), caps[m]),)
+    # The same map on the columns of change: row i != m gains w_i times row m,
+    # and row m is scaled by inv.
+    row_m = frame.change[m]
+    change = [tuple([(a + y * b) % p for a, b in zip(row, row_m)]) for row, y in zip(frame.change, w)]
+    change[m] = tuple([b * inv % p for b in row_m])
+    return _in_cap_order(CIFrame(tuple(change), caps[:m] + (k,) + caps[m + 1 :], rest))
 
 
 def _in_cap_order(frame: CIFrame) -> CIFrame:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leflab import oracle
-from leflab.modp import DenseMatrix, PrimeField, matrix_rank
+from leflab.modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from leflab.oracle import (
     ExponentSpec,
     IdealSample,
@@ -55,11 +55,11 @@ def full_ring_ideal_dim(sample, j):
 
 
 def subsets_independent(sample):
-    """Reference general-position test: every r of the forms have rank r."""
-    r = sample.spec.num_vars
+    """Reference general-position test: every t = min(r, s) of the forms have rank t."""
+    t = min(sample.spec.num_vars, sample.spec.s)
     return all(
-        matrix_rank(DenseMatrix(sample.field, [f.coeffs for f in subset])) == r
-        for subset in combinations(sample.forms, r)
+        matrix_rank(DenseMatrix(sample.field, [f.coeffs for f in subset])) == t
+        for subset in combinations(sample.forms, t)
     )
 
 
@@ -103,6 +103,84 @@ def test_specs_draw_independent_samples():
     again = sample_ideal(cubes, seed=5)
     assert again.forms == samples[0].forms
     assert random_form(again.field, 3, oracle._trial_rng(again, 2)).coeffs == trials[0]
+
+
+def reference_sample_forms(spec, prime, rng):
+    """The forms `sample_ideal` draws from `rng`, drawn form by form as it once drew them.
+
+    Shares no code with the library's draws: each form is one
+    `rng.integers` call of r coefficients, a zero form is drawn again, and
+    attempts repeat until every min(r, s) forms are independent.
+    """
+    field = PrimeField(prime)
+    while True:
+        forms = []
+        for _ in range(spec.s):
+            while True:
+                coeffs = tuple(int(v) for v in rng.integers(0, prime, size=spec.num_vars))
+                if any(coeffs):
+                    break
+            forms.append(LinearFormRep(coeffs))
+        if subsets_independent(IdealSample(spec, tuple(forms), field, seed=0)):
+            return tuple(forms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_draws_match_per_form_draws(data):
+    # At p = 101 general position often fails, so later attempts are compared too.
+    prime = data.draw(st.sampled_from((DEFAULT_PRIME, 101)), label="prime")
+    r = data.draw(st.integers(2, 5), label="num_vars")
+    s = data.draw(st.integers(1, r + 3), label="s")
+    exps = data.draw(st.lists(st.integers(1, 8), min_size=s, max_size=s), label="exponents")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    spec = ExponentSpec(r, tuple(exps))
+    rng = np.random.default_rng([seed, r, *spec.exponents])
+    assert sample_ideal(spec, prime, seed).forms == reference_sample_forms(spec, prime, rng)
+
+
+_default_rng = np.random.default_rng
+
+
+class ZeroingGenerator:
+    """A generator stub whose draws at the given stream positions are 0.
+
+    It counts the values drawn, and its `bit_generator.state` saves and
+    restores that count with the wrapped generator's state.
+    """
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros, self.drawn = _default_rng(seed), zeros, 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.drawn
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state, self.drawn = value
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size=size)
+        flat = out.reshape(-1)
+        for i in range(flat.size):
+            if self.drawn + i in self.zeros:
+                flat[i] = 0
+        self.drawn += flat.size
+        return out
+
+
+@pytest.mark.parametrize("zeros", [range(0, 3), range(3, 6), range(3, 9), range(9, 12)])
+def test_zero_row_in_block_falls_back_to_per_form_draws(monkeypatch, zeros):
+    # Zero the first form, the second, the second and its redraw, or the last.
+    spec, seed = ExponentSpec(3, (2, 3, 3, 4)), 5
+    key = [seed, 3, *spec.exponents]
+    expected = reference_sample_forms(spec, DEFAULT_PRIME, ZeroingGenerator(key, set(zeros)))
+    block = _default_rng(key).integers(0, DEFAULT_PRIME, size=(4, 3)).tolist()
+    assert [f.coeffs for f in expected] != [tuple(row) for row in block]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroingGenerator(seed, set(zeros)))
+    assert sample_ideal(spec, seed=seed).forms == expected
 
 
 def test_sampling_rejects_small_prime():
@@ -851,3 +929,54 @@ def test_frames_eliminate_nothing(monkeypatch):
     monkeypatch.undo()
     for sample, form, k, j, drop in drops:
         assert matrix_rank(mult_matrix_on_quotient(sample, form, k, j)) == drop, (sample.spec, form, k, j)
+
+
+def reference_exchange(frame, form, k, p):
+    """One exchange step as first written, on (change, caps, rest) triples.
+
+    Shares no code with `oracle._exchange`; the variables end in cap order.
+    """
+    change, caps, rest = frame
+    ell = [sum(c * x for c, x in zip(row, form.coeffs)) % p for row in change]
+    m = max((i for i, x in enumerate(ell) if x), key=lambda i: (caps[i] is None, caps[i] or 0))
+    if caps[m] is not None and k >= caps[m]:
+        return change, caps, rest + ((LinearFormRep(tuple(ell)), k),)
+    inv = pow(ell[m], -1, p)
+
+    def exchanged(v):
+        vm = v[m] * inv % p
+        out = [(x - l * vm) % p for x, l in zip(v, ell)]
+        out[m] = vm
+        return tuple(out)
+
+    rest = tuple((LinearFormRep(exchanged(f.coeffs)), a) for f, a in rest)
+    if caps[m] is not None:
+        rest += ((LinearFormRep(exchanged(tuple(int(i == m) for i in range(len(ell))))), caps[m]),)
+    change = tuple(zip(*(exchanged(col) for col in zip(*change))))
+    caps = caps[:m] + (k,) + caps[m + 1:]
+    order = sorted(range(len(caps)), key=lambda i: (caps[i] is None, caps[i] or 0))
+    rest = tuple((LinearFormRep(tuple(f.coeffs[i] for i in order)), a) for f, a in rest)
+    return tuple(change[i] for i in order), tuple(caps[i] for i in order), rest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_frames_match_reference_exchange(data):
+    # Small coefficients give dependent and zero-coordinate forms at every prime.
+    p = data.draw(st.sampled_from((3, 5, 7, DEFAULT_PRIME)), label="p")
+    r = data.draw(st.integers(2, 5), label="num_vars")
+    s = data.draw(st.integers(1, r + 3), label="s")
+    coeff = st.one_of(st.integers(0, min(p - 1, 2)), st.integers(0, p - 1))
+    coeffs = st.lists(coeff, min_size=r, max_size=r).filter(any)
+    forms = tuple(LinearFormRep(tuple(c)) for c in data.draw(st.lists(coeffs, min_size=s, max_size=s), label="forms"))
+    exps = tuple(sorted(data.draw(st.lists(st.integers(1, 4), min_size=s, max_size=s), label="exponents")))
+    form = LinearFormRep(tuple(data.draw(coeffs, label="adjoined form")))
+    k = data.draw(st.integers(1, 5), label="k")
+    sample = IdealSample(ExponentSpec(r, exps), forms, PrimeField(p), seed=0)
+    expected = tuple(tuple(int(i == m) for i in range(r)) for m in range(r)), (None,) * r, ()
+    for f, a in zip(forms, exps):
+        expected = reference_exchange(expected, f, a, p)
+    frame = sample.frame
+    assert (frame.change, frame.caps, frame.rest) == expected
+    adjoined = sample.adjoin_form(form, k).frame
+    assert (adjoined.change, adjoined.caps, adjoined.rest) == reference_exchange(expected, form, k, p)
