@@ -5,8 +5,8 @@ classical toolkit: general simple points impose independent conditions,
 Bezout splits off the line through the two heaviest points, Cremona
 transformations shift the three heaviest multiplicities, systems in standard
 form are non-special, and general double points follow the
-Alexander-Hirschowitz classification.  A derivative-conditions matrix over a
-prime field serves as the independent oracle.
+Alexander-Hirschowitz classification.  A matrix of Taylor-coefficient
+conditions over a prime field serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -128,69 +128,51 @@ def _draw_points(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
         pairs = np.vstack([pairs, rng.integers(0, p, size=(n - len(first), 2))])
 
 
-def _conditions_matrix(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> np.ndarray:
-    """The derivative-conditions matrix at one random point set.
+def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> int:
+    """Rank of the conditions that the system's points impose on degree-d curves.
 
-    A point of multiplicity b contributes the order-(b-1) partial-derivative
-    functionals; vanishing of these forces all lower orders as well (Euler),
-    so the rank matches the full order-<b family.  Multiplicities above d+1
-    are clamped: vanishing to order d+1 already kills every degree-d curve.
+    A point (x, y, 1) of multiplicity m asks every coefficient of s^u t^v
+    with u + v < m in f(x + s, y + t, 1) to vanish.  On the monomial
+    x^a y^b z^c that coefficient is C(a, u) C(b, v) x^(a-u) y^(b-v), so the
+    conditions are exact in every characteristic.
 
-    The points come from `_draw_points`, in one block and with the stream of
-    scalar draws.  Rows go point by point, in monomial order within a point.
-    The points of one run of equal clamped multiplicities share one
-    falling-factorial block, scaled by each point's powers in one broadcast.
+    The three heaviest points sit at (1:0:0), (0:1:0) and (0:0:1); only the
+    other n - 3 are drawn, by `_draw_points`.  The dimension at general
+    points does not move: PGL(3) is transitive on non-collinear triples and
+    the generic-rank locus is open, so with the rest random the rank drops
+    only at special configurations, as before.  A point of multiplicity m at
+    (0:0:1) asks each monomial x^a y^b z^c with a + b < m to vanish on its
+    own (likewise b + c < m at (1:0:0) and a + c < m at (0:1:0)).  These unit
+    rows kill a column set K, so the rank is |K| plus the rank of the drawn
+    points' rows outside K.  The index sets u + v < m are nested in m, so
+    the drawn points share one block over u + v < max m, each point keeping
+    the rows below its own multiplicity.
     """
-    d = sys.degree
-    p = field.modulus
-    a, b, c = monomial_basis(3, d).T
-    pts = _draw_points(sys.num_points, p, rng)
+    d, p = sys.degree, field.modulus
+    exps = monomial_basis(3, d).T
+    alive = np.ones(exps.shape[1], dtype=bool)
+    for mult, e in zip(sys.mults[:3], exps):
+        alive &= e <= d - mult
+    rest = [min(mult, d + 1) for mult in sys.mults[3:]]
+    pts = _draw_points(len(rest), p, rng)
+    killed = len(alive) - int(alive.sum())
+    if not rest or not alive.any():
+        return killed
+    a, b, _ = exps[:, alive]
+    # (u, v) over u + v < max m: the first two exponents of the degree
+    # max m - 1 monomials in three variables.
+    u, v, _ = (col[:, None] for col in monomial_basis(3, rest[0] - 1).T)
+    # choose[n, k] = C(n, k) mod p.
+    choose = np.array([[comb(n, k) % p for k in range(rest[0])] for n in range(d + 1)], dtype=np.int64)
     # pows[0][i, e] = x_i^e and pows[1][i, e] = y_i^e mod p.
     pows = np.ones((2, len(pts), d + 1), dtype=np.int64)
     for e in range(1, d + 1):
         pows[..., e] = pows[..., e - 1] * pts.T % p
-    # falling[n, u] = n (n-1) ... (n-u+1) mod p, zero for u > n.
-    falling = np.ones((d + 1, d + 1), dtype=np.int64)
-    for u in range(1, d + 1):
-        falling[:, u] = falling[:, u - 1] * (np.arange(d + 1) - u + 1) % p
-    blocks = []
-    stop = 0
-    for order, run in groupby(min(mult, d + 1) - 1 for mult in sys.mults):
-        start, stop = stop, stop + sum(1 for _ in run)
-        # One row per partial derivative of that order, u, v and w times in x, y
-        # and z, evaluated at (x, y, z) = (x_i, y_i, 1) for each point i of the run.
-        u, v, w = (col[:, None] for col in monomial_basis(3, order).T)
-        shared = falling[a, u] * falling[b, v] % p * falling[c, w] % p
-        xpow, ypow = pows[:, start:stop]
-        block = shared * xpow[:, np.maximum(a - u, 0)] % p * ypow[:, np.maximum(b - v, 0)] % p
-        blocks.append(block.reshape(-1, len(a)))
-    return np.concatenate(blocks) if blocks else np.empty((0, len(a)), dtype=np.int64)
-
-
-def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> int:
-    """Rank of the derivative-conditions matrix at one point set.
-
-    The three heaviest points sit at (1:0:0), (0:1:0) and (0:0:1); only the
-    other n - 3 are drawn, by `_conditions_matrix`.  The dimension at general
-    points does not move: PGL(3) is transitive on non-collinear triples and
-    the generic-rank locus is open, so with the rest random the rank drops
-    only at special configurations, as before.  A point of multiplicity m at
-    (0:0:1) has one row per monomial x^a y^b z^c with a + b < m, a nonzero
-    multiple of that monomial's unit vector (likewise b + c < m at (1:0:0)
-    and a + c < m at (0:1:0)).  These rows span the coordinates of a killed
-    column set K, so the rank is |K| plus the rank of the other rows outside
-    K.  The multiples, and the Euler reduction behind the order-(m-1) rows,
-    are products of integers up to d: both need p > d.
-    """
-    d = sys.degree
-    if field.modulus <= d:
-        raise ValueError(f"the conditions matrix needs p > d, got p = {field.modulus}, d = {d}")
-    exps = monomial_basis(3, d).T
-    killed = np.zeros(exps.shape[1], dtype=bool)
-    for mult, e in zip(sys.mults[:3], exps):
-        killed |= e > d - mult
-    rest = _conditions_matrix(PlaneSystem(d, sys.mults[3:]), field, rng)[:, ~killed]
-    return int(killed.sum()) + (matrix_rank(DenseMatrix.from_reduced(field, rest)) if rest.size else 0)
+    xpow, ypow = pows
+    shared = choose[a, u] * choose[b, v] % p
+    block = shared * xpow[:, np.maximum(a - u, 0)] % p * ypow[:, np.maximum(b - v, 0)] % p
+    rows = block[(u + v).T < np.array(rest)[:, None]]
+    return killed + matrix_rank(DenseMatrix.from_reduced(field, rows))
 
 
 def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
@@ -202,8 +184,7 @@ def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     expected dimension.  Each set puts its three heaviest points at the
     coordinate points and draws the rest (`_conditions_rank`): the
     dimension is invariant under PGL(3), which moves any three
-    non-collinear points there.  The prime exceeds every degree the
-    matrix can hold, as the derivative rows need (p > d).
+    non-collinear points there.
     """
     if sys.degree < 0:
         return 0

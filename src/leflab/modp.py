@@ -23,41 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_PRIME = 2147483647
 
-# Witnesses giving a deterministic Miller-Rabin test for all n < 3.3 * 10^24,
-# far beyond the 31-bit moduli PrimeField accepts.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-# Cached: every sample, sweep and fat-point system checks its modulus, and the
-# witness loop takes about 0.1 ms on a 31-bit modulus.
+# Cached: every sample, sweep and fat-point system checks its modulus, and
+# trial division by up to 46,340 divisors takes about 0.5 ms on a 31-bit one.
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if n % w == 0:
-            return n == w
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division, meant for the 31-bit moduli PrimeField accepts."""
+    return n >= 2 and bool((n % np.arange(2, isqrt(n) + 1)).all())
 
 
 @dataclass(frozen=True)
@@ -67,10 +46,10 @@ class PrimeField:
     modulus: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
         if self.modulus.bit_length() > 31:
             raise ValueError("modulus must fit in 31 bits for int64 arithmetic")
+        if not is_prime(self.modulus):
+            raise ValueError(f"modulus {self.modulus} is not prime")
 
 
 class DenseMatrix:

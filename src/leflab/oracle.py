@@ -195,8 +195,8 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
 
     Each attempt draws its s forms as one (s, r) block, which takes the same
     values and leaves the generator in the same state as s `random_form`
-    draws.  A zero row, which `random_form` would draw again in place, sends
-    the attempt back to the block's start to be drawn form by form.
+    draws.  Zero rows are dropped and the block is topped up with one row
+    per dropped one, in stream order, as `random_form` draws again in place.
     """
     field = PrimeField(prime)
     bound = 2 * (max(spec.exponents) + spec.s + 10)
@@ -205,14 +205,10 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
     r = spec.num_vars
     rng = np.random.default_rng([seed, r, *spec.exponents])
     while True:
-        state = rng.bit_generator.state
-        rows = rng.integers(0, prime, size=(spec.s, r)).tolist()
-        if all(map(any, rows)):
-            forms = tuple(LinearFormRep(tuple(row)) for row in rows)
-        else:
-            rng.bit_generator.state = state
-            forms = tuple(random_form(field, r, rng) for _ in range(spec.s))
-        sample = IdealSample(spec, forms, field, seed)
+        rows: list[list[int]] = []
+        while len(rows) < spec.s:
+            rows += [row for row in rng.integers(0, prime, size=(spec.s - len(rows), r)).tolist() if any(row)]
+        sample = IdealSample(spec, tuple(LinearFormRep(tuple(row)) for row in rows), field, seed)
         if _in_general_position(sample):
             return sample
 

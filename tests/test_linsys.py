@@ -1,15 +1,15 @@
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leflab import linsys
 from leflab.linsys import (
     PlaneSystem,
     StepNotApplicable,
-    _conditions_matrix,
     _conditions_rank,
     _draw_points,
     ah_double_dim,
@@ -120,7 +120,11 @@ def scalar_exponents(d):
 
 
 def scalar_conditions_matrix(sys_, p, points):
-    """The conditions matrix at projective points (x, y, z), one entry at a time.
+    """The derivative-conditions matrix at projective points (x, y, z), one entry at a time.
+
+    A point of multiplicity m gives the order-(m - 1) partial derivatives in
+    x, y and z (m clamped at d + 1).  For p > d they span the same conditions
+    as the Taylor coefficients that `_conditions_rank` ranks.
 
     The i-th point carries the i-th multiplicity; rows go point by point, in
     monomial order within a point.
@@ -150,15 +154,18 @@ def scalar_conditions_matrix(sys_, p, points):
 
 
 def assert_matches_scalar_reference(sys_, field, seed):
-    """Same entries, rows in the same order, and the same generator state after."""
+    """`_draw_points` gives one point per multiplicity as the scalar draws do.
+
+    Same points in the same order, and the same generator state after.
+    Returns the number of redrawn pairs.
+    """
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    matrix = _conditions_matrix(sys_, field, rng)
+    drawn = _draw_points(sys_.num_points, field.modulus, rng)
     points, skipped = scalar_draw_points(sys_.num_points, field.modulus, ref_rng)
-    rows = scalar_conditions_matrix(sys_, field.modulus, [(x, y, 1) for x, y in points])
-    assert matrix.dtype == np.int64 and matrix.shape == (len(rows), binom(sys_.degree + 2, 2)), sys_
-    assert matrix.tolist() == rows, sys_
+    assert drawn.dtype == np.int64 and drawn.shape == (len(points), 2), sys_
+    assert [tuple(pt) for pt in drawn.tolist()] == points, sys_
     assert rng.bit_generator.state == ref_rng.bit_generator.state, sys_
-    return rows, points, skipped
+    return skipped
 
 
 COORDINATE_POINTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -220,7 +227,7 @@ def plane_systems(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1))
-def test_conditions_matrix_matches_scalar_reference(sys_, prime, seed):
+def test_draw_points_matches_scalar_reference(sys_, prime, seed):
     assert_matches_scalar_reference(sys_, PrimeField(prime), seed)
 
 
@@ -230,28 +237,54 @@ def test_conditions_rank_matches_scalar_reference_on_random_systems(sys_, prime,
     assert_rank_matches_scalar_reference(sys_, PrimeField(prime), seed)
 
 
-def test_conditions_rank_needs_p_above_the_degree():
-    with pytest.raises(ValueError):
-        _conditions_rank(PlaneSystem(4, (2, 2)), PrimeField(3), np.random.default_rng(0))
+def scalar_taylor_rows(d, p, mult, point):
+    """The conditions of one point of multiplicity `mult`, one entry at a time.
+
+    `point` is projective; k is the last index where it is 1, and i and j
+    are the other two.  One row per s^u t^v with u + v < mult: its
+    coefficient in f(point + s e_i + t e_j) for f of degree d.
+    """
+    k = max(n for n, c in enumerate(point) if c == 1)
+    i, j = (n for n in range(3) if n != k)
+    rows = []
+    for u in range(mult):
+        for v in range(mult - u):
+            row = []
+            for e in scalar_exponents(d):
+                if e[i] < u or e[j] < v:
+                    row.append(0)
+                    continue
+                row.append(comb(e[i], u) * comb(e[j], v) * pow(point[i], e[i] - u, p) * pow(point[j], e[j] - v, p) % p)
+            rows.append(row)
+    return rows
 
 
-def test_conditions_matrix_redraws_repeated_points():
+@settings(max_examples=100, deadline=None)
+@given(plane_systems(), st.sampled_from([3, 5, 7]), st.integers(0, 2**32 - 1))
+@example(PlaneSystem(10, (5,) * 5), 3, 0)  # derivative rows of order >= p vanish here
+def test_conditions_rank_matches_taylor_reference_at_small_primes(sys_, prime, seed):
+    # p <= d is allowed: the Taylor coefficients are exact in every characteristic.
+    field = PrimeField(prime)
+    rank = _conditions_rank(sys_, field, np.random.default_rng(seed))
+    rest, _ = scalar_draw_points(max(sys_.num_points - 3, 0), prime, np.random.default_rng(seed))
+    points = COORDINATE_POINTS + [(x, y, 1) for x, y in rest]
+    rows = [row for mult, pt in zip(sys_.mults, points) for row in scalar_taylor_rows(sys_.degree, prime, mult, pt)]
+    assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
+
+
+def test_draw_points_redraws_repeated_points():
     # F_3 has nine affine points, so four to six draws often repeat a pair.
     field = PrimeField(3)
     skipped = 0
     for seed in range(12):
         for mults in ((4, 3, 2, 1), (3, 3, 2, 2, 1), (5, 2, 2, 1, 1, 1)):
-            sys_ = PlaneSystem(4, mults)
-            _, points, skips = assert_matches_scalar_reference(sys_, field, seed)
-            drawn = _draw_points(len(mults), 3, np.random.default_rng(seed))
-            assert [tuple(pt) for pt in drawn.tolist()] == points
-            skipped += skips
+            skipped += assert_matches_scalar_reference(PlaneSystem(4, mults), field, seed)
     assert skipped > 0
 
 
-def test_conditions_matrix_refuses_more_points_than_the_plane_has():
+def test_draw_points_refuses_more_points_than_the_plane_has():
     with pytest.raises(ValueError):
-        _conditions_matrix(PlaneSystem(3, (1,) * 10), PrimeField(3), np.random.default_rng(0))
+        _draw_points(10, 3, np.random.default_rng(0))
 
 
 def test_fatpoint_dim_degenerate():

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leflab import cli
+from leflab.harness import SECOND_PRIME
 from leflab.modp import (
     DEFAULT_PRIME,
     SMALL_CELLS,
@@ -23,6 +26,24 @@ from leflab.modp import (
 def test_default_modulus_is_prime():
     assert is_prime(DEFAULT_PRIME)
     assert PrimeField().modulus == DEFAULT_PRIME
+
+
+def test_is_prime_matches_a_sieve_and_wide_moduli_are_refused_at_once():
+    sieve = np.ones(10**4, dtype=bool)
+    sieve[:2] = False
+    for n in range(2, 100):
+        sieve[n * n :: n] = False
+    assert [n for n in range(10**4) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert is_prime(DEFAULT_PRIME) and is_prime(SECOND_PRIME)
+    # The width check comes before trial division, which would need a divisor
+    # array of isqrt(p) entries.
+    for modulus in (2**61 - 1, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="31 bits"):
+            PrimeField(modulus)
+        assert cli.main(["hilbert", "--powers", "2,2,2", "--prime", str(modulus)]) == 2
+        assert cli.main(["verify", "--specs", "2,2,2", "--second-prime", str(modulus)]) == 2
+        assert time.perf_counter() - start < 1
 
 
 def test_rejects_composite_modulus():
