@@ -13,7 +13,14 @@ where numpy's per-call overhead would dominate; larger ones with numpy row
 operations.  Both paths pick the first nonzero entry at or below the
 current row as the pivot and invert it with `pow(x, -1, p)`, so they
 return the same rows and pivots.  The limit is the measured crossover of
-the two paths (see SMALL_CELLS).  `all_minors_nonzero`, the
+the two paths (see SMALL_CELLS).  Whole blocks (the numpy row updates
+here, and the fat-point conditions in `linsys`) are reduced by
+`reduce_mod`: from FLOOR_DIVIDE_CELLS (1,000) entries up as
+`x - x // p * p`, which numpy computes about twice as fast as `x % p`
+(its integer division by a scalar uses libdivide, its remainder does not).
+Every entry stays in (-p^2, p^2), so the two agree.  Below that size, and
+for the small arrays elsewhere, one `%` call costs less than three.
+`all_minors_nonzero`, the
 general-position test of the oracle's samples, eliminates nothing: it
 expands each minor along its first row into the minors one size smaller.
 """
@@ -33,9 +40,12 @@ DEFAULT_PRIME = 2147483647
 
 # Cached: every sample, sweep and fat-point system checks its modulus, and
 # trial division by up to 46,340 divisors takes about 0.5 ms on a 31-bit one.
+# The width check comes first: 2^61 - 1 would need a 1.5e9-entry divisor array.
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Primality by trial division, meant for the 31-bit moduli PrimeField accepts."""
+    """Primality by trial division of an n below 2^31; wider n raise ValueError."""
+    if n.bit_length() > 31:
+        raise ValueError("modulus must fit in 31 bits for int64 arithmetic")
     return n >= 2 and bool((n % np.arange(2, isqrt(n) + 1)).all())
 
 
@@ -46,8 +56,6 @@ class PrimeField:
     modulus: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
-        if self.modulus.bit_length() > 31:
-            raise ValueError("modulus must fit in 31 bits for int64 arithmetic")
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
 
@@ -93,13 +101,32 @@ class DenseMatrix:
 
 
 # The crossover of the two `_echelon` paths, timed on one core of a 2-vCPU
-# x86-64 host (Python 3.11, numpy 2.4, p = DEFAULT_PRIME).  On dense random
-# full-rank matrices, best of 5 timeit runs, the Python path took
-# 14 / 42 / 160 / 340 us and the numpy path 36 / 53 / 155 / 247 us at
-# 3x3 / 4x12 / 10x10 / 12x12.  Replaying every matrix that one default
-# `leflab verify` sweep eliminates, the total time is lowest for limits of
-# 100-150 cells; for the four-variable WLP scans it is flat from 50 to 200.
+# x86-64 host (Python 3.11, numpy 2.4, p = DEFAULT_PRIME), with the numpy
+# path reducing by `reduce_mod`.  On dense random full-rank matrices, best
+# of 5 timeit runs, the Python path took 21 / 68 / 240 / 377 us and the
+# numpy path 52 / 83 / 214 / 243 us at 3x3 / 4x12 / 10x10 / 12x12.
+# Replaying every matrix of 20-400 cells that one default `leflab verify`
+# sweep eliminates (735 of 1,592), the total time is lowest at 100 cells
+# (78-80 ms; 75 and 125 are within 1.5 ms, 200 is 7 ms slower).  For the
+# four-variable WLP scans (90 of 158) it is 0.3-0.5 ms lower at 50-75 than
+# at 100, out of 11-14 ms, and rises from 125 up.
 SMALL_CELLS = 100
+
+
+# Below this many entries one `%` call costs less than the three calls of
+# `x - x // p * p`.  Timed on int64 vectors of row-update values (numpy 2.4,
+# same host as SMALL_CELLS), best of 9: 2.7 against 3.0 us at 500 entries,
+# 5.2-5.9 against 4.4-6.5 us at 1,000, and 7.3 against 5.4-5.8 us at 1,600.
+FLOOR_DIVIDE_CELLS = 1000
+
+
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """`x %= p` in place, computed as `x -= x // p * p` from FLOOR_DIVIDE_CELLS entries up."""
+    if x.size < FLOOR_DIVIDE_CELLS:
+        x %= p
+    else:
+        x -= x // p * p
+    return x
 
 
 def _echelon_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -146,10 +173,11 @@ def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = a[r, c:] * inv % p
-        rows = a[r + 1:, c].nonzero()[0]
+        # The rows below the pivot that are nonzero in column c, from the
+        # same scan; a swap only moved row r's zero entry to row i.
+        rows = nz[1:] + r
         if rows.size:
-            rows += r + 1
-            a[rows, c:] = (a[rows, c:] - a[rows, c][:, None] * a[r, c:]) % p
+            a[rows, c:] = reduce_mod(a[rows, c:] - a[rows, c][:, None] * a[r, c:], p)
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -195,7 +223,7 @@ def reduce_rows(vectors: np.ndarray, echelon: DenseMatrix, pivots: Sequence[int]
         coeff = out[:, c]
         nz = np.nonzero(coeff)[0]
         if nz.size:
-            out[nz, :] = (out[nz, :] - coeff[nz, None] * echelon.entries[k]) % p
+            out[nz, :] = reduce_mod(out[nz, :] - coeff[nz, None] * echelon.entries[k], p)
     return out
 
 

@@ -10,6 +10,7 @@ from leflab import cli
 from leflab.harness import SECOND_PRIME
 from leflab.modp import (
     DEFAULT_PRIME,
+    FLOOR_DIVIDE_CELLS,
     SMALL_CELLS,
     DenseMatrix,
     PrimeField,
@@ -18,6 +19,7 @@ from leflab.modp import (
     all_minors_nonzero,
     is_prime,
     matrix_rank,
+    reduce_mod,
     reduce_rows,
     row_echelon,
 )
@@ -35,10 +37,16 @@ def test_is_prime_matches_a_sieve_and_wide_moduli_are_refused_at_once():
         sieve[n * n :: n] = False
     assert [n for n in range(10**4) if is_prime(n)] == np.flatnonzero(sieve).tolist()
     assert is_prime(DEFAULT_PRIME) and is_prime(SECOND_PRIME)
+    # A 32-bit prime: trial division would answer it cheaply, but it is too
+    # wide for int64 products, so is_prime itself refuses it.
+    with pytest.raises(ValueError, match="31 bits"):
+        is_prime(2**32 - 5)
     # The width check comes before trial division, which would need a divisor
     # array of isqrt(p) entries.
     for modulus in (2**61 - 1, 10**30):
         start = time.perf_counter()
+        with pytest.raises(ValueError, match="31 bits"):
+            is_prime(modulus)
         with pytest.raises(ValueError, match="31 bits"):
             PrimeField(modulus)
         assert cli.main(["hilbert", "--powers", "2,2,2", "--prime", str(modulus)]) == 2
@@ -220,6 +228,79 @@ def test_normal_forms_match_gauss_jordan(data):
     assert np.array_equal(normal, gauss_jordan_normal_form(ech, pivots, vectors, p))
     assert not normal[:3].any()
     assert not normal[:, list(pivots)].any()
+
+
+@pytest.mark.parametrize("p", (2, 3, DEFAULT_PRIME))
+def test_reduce_mod_on_the_extremes_of_a_row_update(p):
+    # A row update x - f * y with x, f, y in [0, p) lies in [-(p-1)^2, p), and
+    # a product of two reduced entries in [0, (p-1)^2]; p^2 - 1 bounds both.
+    low, high = -((p - 1) ** 2), (p - 1) ** 2
+    values = [low, low + 1, -p, -1, 0, 1, p - 1, p, high, high + p - 1, p * p - 1]
+    # One block on each side of the switch from `%` to floor division.
+    for copies in (1, FLOOR_DIVIDE_CELLS // len(values) + 1):
+        x = np.array(values * copies, dtype=np.int64)
+        assert reduce_mod(x, p) is x
+        assert x.tolist() == [v % p for v in values] * copies
+
+
+@st.composite
+def wide_matrices(draw):
+    """Parameters of `wide_matrix`, up to the largest benchmark matrices (124x165)."""
+    p = draw(st.sampled_from((2, 3, 101, SECOND_PRIME, DEFAULT_PRIME)))
+    rows = draw(st.integers(1, 130))
+    cols = draw(st.integers(1, 170))
+    rank = draw(st.integers(0, min(rows, cols)))
+    density = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    dense_cols = draw(st.integers(0, 4))
+    return p, rows, cols, rank, density, dense_cols, draw(st.integers(0, 2**32 - 1))
+
+
+def wide_matrix(p, rows, cols, rank, density, dense_cols, seed):
+    """A matrix over F_p of rank at most rank + dense_cols, with its generator.
+
+    Rows are small combinations of `rank` sparse basis rows (the sum of up to
+    130 terms below 4p fits in int64); `dense_cols` columns are then filled
+    with nonzero entries, so elimination fills in the sparse rows, and some
+    rows and columns are zeroed.
+    """
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < density)
+    combos = rng.integers(0, min(p, 4), size=(rows, rank)) * (rng.random((rows, rank)) < density)
+    arr = combos @ basis % p
+    dense = rng.choice(cols, size=min(dense_cols, cols), replace=False)
+    arr[:, dense] = rng.integers(1, p, size=(rows, len(dense)))
+    arr[rng.random(rows) < 0.1, :] = 0
+    arr[:, rng.random(cols) < 0.1] = 0
+    return arr, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_matrices())
+@example((DEFAULT_PRIME, 124, 165, 124, 1.0, 0, 7))
+@example((2, 130, 170, 100, 0.3, 4, 8))
+def test_large_path_matches_small_path_up_to_benchmark_shapes(params):
+    arr, _ = wide_matrix(*params)
+    p = params[0]
+    small_rows, small_pivots = _echelon_small(arr, p)
+    large_rows, large_pivots = _echelon_large(arr, p)
+    assert large_pivots == small_pivots and len(small_pivots) <= params[3] + params[5]
+    assert large_rows.dtype == np.int64 and np.array_equal(large_rows, small_rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_matrices())
+@example((SECOND_PRIME, 111, 144, 100, 1.0, 2, 9))
+def test_normal_forms_match_gauss_jordan_up_to_benchmark_shapes(params):
+    arr, rng = wide_matrix(*params)
+    p = params[0]
+    m = DenseMatrix(PrimeField(p), arr)
+    ech, pivots = row_echelon(m)
+    inside = rng.integers(0, min(p, 4), size=(3, m.rows)) @ arr % p
+    outside = rng.integers(0, p, size=(3, m.cols)) * (rng.random((3, m.cols)) < 0.5)
+    vectors = np.vstack([inside, outside])
+    normal = reduce_rows(vectors, ech, pivots)
+    assert np.array_equal(normal, gauss_jordan_normal_form(ech, pivots, vectors, p))
+    assert not normal[:3].any()
 
 
 def test_all_minors_nonzero_checks_every_size():
