@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank, reduce_mod
+from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from .oracle import ExponentSpec
 from .polyring import monomial_basis
 
@@ -169,9 +169,8 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
     for e in range(1, d + 1):
         pows[..., e] = pows[..., e - 1] * pts.T % p
     xpow, ypow = pows
-    shared = reduce_mod(choose[a, u] * choose[b, v], p)
-    block = reduce_mod(shared * xpow[:, np.maximum(a - u, 0)], p)
-    block = reduce_mod(block * ypow[:, np.maximum(b - v, 0)], p)
+    shared = choose[a, u] * choose[b, v] % p
+    block = shared * xpow[:, np.maximum(a - u, 0)] % p * ypow[:, np.maximum(b - v, 0)] % p
     rows = block[(u + v).T < np.array(rest)[:, None]]
     return killed + matrix_rank(DenseMatrix.from_reduced(field, rows))
 

@@ -13,16 +13,13 @@ where numpy's per-call overhead would dominate; larger ones with numpy row
 operations.  Both paths pick the first nonzero entry at or below the
 current row as the pivot and invert it with `pow(x, -1, p)`, so they
 return the same rows and pivots.  The limit is the measured crossover of
-the two paths (see SMALL_CELLS).  Whole blocks (the numpy row updates
-here, and the fat-point conditions in `linsys`) are reduced by
-`reduce_mod`: from FLOOR_DIVIDE_CELLS (1,000) entries up as
-`x - x // p * p`, which numpy computes about twice as fast as `x % p`
-(its integer division by a scalar uses libdivide, its remainder does not).
-Every entry stays in (-p^2, p^2), so the two agree.  Below that size, and
-for the small arrays elsewhere, one `%` call costs less than three.
-`all_minors_nonzero`, the
-general-position test of the oracle's samples, eliminates nothing: it
-expands each minor along its first row into the minors one size smaller.
+the two paths (see SMALL_CELLS).  The numpy path reduces each row update
+by `reduce_mod`, as `x - x // p * p`, which numpy computes about twice as
+fast as `x % p` (its integer division by a scalar uses libdivide, its
+remainder does not).  Every entry stays in (-p^2, p^2), so the two agree.
+`all_minors_nonzero`, the general-position test of the oracle's samples,
+eliminates nothing: it expands each minor along its first row into the
+minors one size smaller.
 """
 
 from __future__ import annotations
@@ -103,29 +100,20 @@ class DenseMatrix:
 # The crossover of the two `_echelon` paths, timed on one core of a 2-vCPU
 # x86-64 host (Python 3.11, numpy 2.4, p = DEFAULT_PRIME), with the numpy
 # path reducing by `reduce_mod`.  On dense random full-rank matrices, best
-# of 5 timeit runs, the Python path took 21 / 68 / 240 / 377 us and the
-# numpy path 52 / 83 / 214 / 243 us at 3x3 / 4x12 / 10x10 / 12x12.
-# Replaying every matrix of 20-400 cells that one default `leflab verify`
-# sweep eliminates (735 of 1,592), the total time is lowest at 100 cells
-# (78-80 ms; 75 and 125 are within 1.5 ms, 200 is 7 ms slower).  For the
-# four-variable WLP scans (90 of 158) it is 0.3-0.5 ms lower at 50-75 than
-# at 100, out of 11-14 ms, and rises from 125 up.
+# of 5 timeit runs (the faster of two sessions), the Python path took
+# 15 / 43 / 149 / 257 us and the numpy path 36 / 54 / 174 / 181 us at
+# 3x3 / 4x12 / 10x10 / 12x12.  Replaying every matrix of 20-400 cells that
+# one default `leflab verify` sweep eliminates (735 of 1,592), the total
+# time is lowest at 100 cells (60-66 ms; 75 and 125 are within 1.3 ms, 200
+# is 3 ms slower).  For the four-variable WLP scans (90 of 158) it is
+# 0.2-0.3 ms lower at 50-75 than at 100, out of 12-13 ms, and rises from
+# 125 up.
 SMALL_CELLS = 100
 
 
-# Below this many entries one `%` call costs less than the three calls of
-# `x - x // p * p`.  Timed on int64 vectors of row-update values (numpy 2.4,
-# same host as SMALL_CELLS), best of 9: 2.7 against 3.0 us at 500 entries,
-# 5.2-5.9 against 4.4-6.5 us at 1,000, and 7.3 against 5.4-5.8 us at 1,600.
-FLOOR_DIVIDE_CELLS = 1000
-
-
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """`x %= p` in place, computed as `x -= x // p * p` from FLOOR_DIVIDE_CELLS entries up."""
-    if x.size < FLOOR_DIVIDE_CELLS:
-        x %= p
-    else:
-        x -= x // p * p
+    """`x %= p` in place, computed as `x -= x // p * p`, which numpy does faster."""
+    x -= x // p * p
     return x
 
 

@@ -10,7 +10,6 @@ from leflab import cli
 from leflab.harness import SECOND_PRIME
 from leflab.modp import (
     DEFAULT_PRIME,
-    FLOOR_DIVIDE_CELLS,
     SMALL_CELLS,
     DenseMatrix,
     PrimeField,
@@ -149,42 +148,65 @@ def test_row_echelon_reduction_normal_form():
     assert outside[0, 0] == 0 and outside[0, 2] == 0
 
 
-def draw_matrix(data):
-    """A prime and a matrix over it, with shapes on both sides of SMALL_CELLS.
+@st.composite
+def matrix_params(draw):
+    """Parameters of `build_matrix`, with shapes on both sides of SMALL_CELLS.
 
-    Rows are drawn from a span of chosen rank, then sparsified and given zero
-    rows and zero columns, so pivots are skipped, swapped and missing.
+    One draw in ten is wide instead: up to 130x170, which covers the largest
+    benchmark matrices (planes 111x144, wlp4 124x165), with up to four dense
+    columns.
     """
-    p = data.draw(st.sampled_from((7, 101, DEFAULT_PRIME)), label="p")
-    rows = data.draw(st.integers(1, 14), label="rows")
-    fit = SMALL_CELLS // rows
-    if data.draw(st.booleans(), label="small"):
-        cols = data.draw(st.integers(1, min(fit, 14)), label="cols")
+    wide = draw(st.integers(0, 9), label="wide") == 0
+    if wide:
+        p = draw(st.sampled_from((2, 3, 101, SECOND_PRIME, DEFAULT_PRIME)), label="p")
+        rows = draw(st.integers(1, 130), label="rows")
+        cols = draw(st.integers(1, 170), label="cols")
     else:
-        cols = data.draw(st.integers(fit + 1, fit + 14), label="cols")
-    rank = data.draw(st.integers(0, min(rows, cols)), label="rank")
-    density = data.draw(st.sampled_from((0.2, 0.6, 1.0)), label="density")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p = draw(st.sampled_from((7, 101, DEFAULT_PRIME)), label="p")
+        rows = draw(st.integers(1, 14), label="rows")
+        fit = SMALL_CELLS // rows
+        if draw(st.booleans(), label="small"):
+            cols = draw(st.integers(1, min(fit, 14)), label="cols")
+        else:
+            cols = draw(st.integers(fit + 1, fit + 14), label="cols")
+    rank = draw(st.integers(0, min(rows, cols)), label="rank")
+    density = draw(st.sampled_from((0.05, 0.2, 0.6, 1.0)), label="density")
+    dense_cols = draw(st.integers(0, 4), label="dense_cols") if wide else 0
+    return p, rows, cols, rank, density, dense_cols, draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+def build_matrix(p, rows, cols, rank, density, dense_cols, seed):
+    """A matrix over F_p of rank at most rank + dense_cols, and its generator.
+
+    Rows are drawn from a span of the chosen rank (coefficients below 4, so a
+    sum of 130 products stays in int64), then sparsified.  Dense columns make
+    elimination fill in the sparse rows; zero rows and zero columns make
+    pivots skipped, swapped and missing.
+    """
+    rng = np.random.default_rng(seed)
     basis = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < density)
-    combos = rng.integers(0, p, size=(rows, rank)) * (rng.random((rows, rank)) < density)
-    arr = (combos.astype(object) @ basis.astype(object)) % p if rank else np.zeros((rows, cols))
-    arr = np.asarray(arr, dtype=np.int64)
+    combos = rng.integers(0, min(p, 4), size=(rows, rank)) * (rng.random((rows, rank)) < density)
+    arr = combos @ basis % p
+    dense = rng.choice(cols, size=min(dense_cols, cols), replace=False)
+    arr[:, dense] = rng.integers(1, p, size=(rows, len(dense)))
     arr[rng.random(rows) < 0.2, :] = 0
     arr[:, rng.random(cols) < 0.2] = 0
-    return DenseMatrix(PrimeField(p), arr), rank, rng
+    return DenseMatrix(PrimeField(p), arr), rng
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_small_and_large_paths_agree(data):
-    m, rank, _ = draw_matrix(data)
+@given(matrix_params())
+@example((DEFAULT_PRIME, 124, 165, 124, 1.0, 0, 7))
+@example((2, 130, 170, 100, 0.2, 4, 8))
+def test_small_and_large_paths_agree(params):
+    m, _ = build_matrix(*params)
     p = m.field.modulus
     small_rows, pivots = _echelon_small(m.entries, p)
     large_rows, large_pivots = _echelon_large(m.entries, p)
     assert pivots == large_pivots
     assert small_rows.shape == large_rows.shape == (len(pivots), m.cols)
     assert np.array_equal(small_rows, large_rows)
-    assert len(pivots) <= rank
+    assert len(pivots) <= params[3] + params[5]
     # Echelon shape: unit pivots, increasing, with zeros left of each pivot
     # in its row and below it in its column.
     assert list(pivots) == sorted(set(pivots))
@@ -215,15 +237,16 @@ def gauss_jordan_normal_form(ech, pivots, vectors, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_normal_forms_match_gauss_jordan(data):
-    m, _, rng = draw_matrix(data)
+@given(matrix_params())
+@example((SECOND_PRIME, 111, 144, 100, 1.0, 2, 9))
+def test_normal_forms_match_gauss_jordan(params):
+    m, rng = build_matrix(*params)
     p = m.field.modulus
     ech, pivots = row_echelon(m)
     # Vectors inside the row space and outside it, some with zero entries.
-    inside = (rng.integers(0, p, size=(3, m.rows)).astype(object) @ m.entries.astype(object)) % p
+    inside = rng.integers(0, min(p, 4), size=(3, m.rows)) @ m.entries % p
     outside = rng.integers(0, p, size=(3, m.cols)) * (rng.random((3, m.cols)) < 0.5)
-    vectors = np.vstack([np.asarray(inside, dtype=np.int64), outside])
+    vectors = np.vstack([inside, outside])
     normal = reduce_rows(vectors, ech, pivots)
     assert np.array_equal(normal, gauss_jordan_normal_form(ech, pivots, vectors, p))
     assert not normal[:3].any()
@@ -236,71 +259,9 @@ def test_reduce_mod_on_the_extremes_of_a_row_update(p):
     # a product of two reduced entries in [0, (p-1)^2]; p^2 - 1 bounds both.
     low, high = -((p - 1) ** 2), (p - 1) ** 2
     values = [low, low + 1, -p, -1, 0, 1, p - 1, p, high, high + p - 1, p * p - 1]
-    # One block on each side of the switch from `%` to floor division.
-    for copies in (1, FLOOR_DIVIDE_CELLS // len(values) + 1):
-        x = np.array(values * copies, dtype=np.int64)
-        assert reduce_mod(x, p) is x
-        assert x.tolist() == [v % p for v in values] * copies
-
-
-@st.composite
-def wide_matrices(draw):
-    """Parameters of `wide_matrix`, up to the largest benchmark matrices (124x165)."""
-    p = draw(st.sampled_from((2, 3, 101, SECOND_PRIME, DEFAULT_PRIME)))
-    rows = draw(st.integers(1, 130))
-    cols = draw(st.integers(1, 170))
-    rank = draw(st.integers(0, min(rows, cols)))
-    density = draw(st.sampled_from((0.05, 0.3, 1.0)))
-    dense_cols = draw(st.integers(0, 4))
-    return p, rows, cols, rank, density, dense_cols, draw(st.integers(0, 2**32 - 1))
-
-
-def wide_matrix(p, rows, cols, rank, density, dense_cols, seed):
-    """A matrix over F_p of rank at most rank + dense_cols, with its generator.
-
-    Rows are small combinations of `rank` sparse basis rows (the sum of up to
-    130 terms below 4p fits in int64); `dense_cols` columns are then filled
-    with nonzero entries, so elimination fills in the sparse rows, and some
-    rows and columns are zeroed.
-    """
-    rng = np.random.default_rng(seed)
-    basis = rng.integers(0, p, size=(rank, cols)) * (rng.random((rank, cols)) < density)
-    combos = rng.integers(0, min(p, 4), size=(rows, rank)) * (rng.random((rows, rank)) < density)
-    arr = combos @ basis % p
-    dense = rng.choice(cols, size=min(dense_cols, cols), replace=False)
-    arr[:, dense] = rng.integers(1, p, size=(rows, len(dense)))
-    arr[rng.random(rows) < 0.1, :] = 0
-    arr[:, rng.random(cols) < 0.1] = 0
-    return arr, rng
-
-
-@settings(max_examples=60, deadline=None)
-@given(wide_matrices())
-@example((DEFAULT_PRIME, 124, 165, 124, 1.0, 0, 7))
-@example((2, 130, 170, 100, 0.3, 4, 8))
-def test_large_path_matches_small_path_up_to_benchmark_shapes(params):
-    arr, _ = wide_matrix(*params)
-    p = params[0]
-    small_rows, small_pivots = _echelon_small(arr, p)
-    large_rows, large_pivots = _echelon_large(arr, p)
-    assert large_pivots == small_pivots and len(small_pivots) <= params[3] + params[5]
-    assert large_rows.dtype == np.int64 and np.array_equal(large_rows, small_rows)
-
-
-@settings(max_examples=30, deadline=None)
-@given(wide_matrices())
-@example((SECOND_PRIME, 111, 144, 100, 1.0, 2, 9))
-def test_normal_forms_match_gauss_jordan_up_to_benchmark_shapes(params):
-    arr, rng = wide_matrix(*params)
-    p = params[0]
-    m = DenseMatrix(PrimeField(p), arr)
-    ech, pivots = row_echelon(m)
-    inside = rng.integers(0, min(p, 4), size=(3, m.rows)) @ arr % p
-    outside = rng.integers(0, p, size=(3, m.cols)) * (rng.random((3, m.cols)) < 0.5)
-    vectors = np.vstack([inside, outside])
-    normal = reduce_rows(vectors, ech, pivots)
-    assert np.array_equal(normal, gauss_jordan_normal_form(ech, pivots, vectors, p))
-    assert not normal[:3].any()
+    x = np.array(values, dtype=np.int64)
+    assert reduce_mod(x, p) is x
+    assert x.tolist() == [v % p for v in values]
 
 
 def test_all_minors_nonzero_checks_every_size():
