@@ -43,10 +43,19 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {text!r}") from exc
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer: {text!r}")
+
+
 _COMMON_FLAGS = {
     "vars": dict(type=int, default=3, help="number of variables"),
     "prime": dict(type=int, default=DEFAULT_PRIME, help=f"field modulus (default {DEFAULT_PRIME})"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_non_negative_int, default=0),
     "trials": dict(type=int, default=DEFAULT_TRIALS),
     "format": dict(choices=("json", "csv"), default="json"),
 }

@@ -6,7 +6,9 @@ Bezout splits off the line through the two heaviest points, Cremona
 transformations shift the three heaviest multiplicities, systems in standard
 form are non-special, and general double points follow the
 Alexander-Hirschowitz classification.  A matrix of Taylor-coefficient
-conditions over a prime field serves as the independent oracle.
+conditions over a prime field serves as the independent oracle.  It is
+ranked at points drawn in one random block; a special draw, two coincident
+points say, only lowers the rank, and a second block covers it.
 """
 
 from __future__ import annotations
@@ -110,25 +112,7 @@ def ah_double_dim(d: int, m: int) -> int:
     return max(0, binom(d + 2, 2) - 3 * m)
 
 
-def _draw_points(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """n distinct points of the affine plane over F_p, one (x, y) row each.
-
-    The pairs come in one block of n, topped up by one more pair for each
-    pair that repeats an earlier one; the first occurrences are kept, in
-    draw order.  These are the points, and the generator state, of drawing x
-    then y one scalar at a time and redrawing a repeated pair.
-    """
-    if n > p * p:
-        raise ValueError(f"{n} distinct points do not fit in the plane over F_{p}")
-    pairs = rng.integers(0, p, size=(n, 2))
-    while True:
-        _, first = np.unique(pairs[:, 0] * p + pairs[:, 1], return_index=True)
-        if len(first) == n:
-            return pairs[np.sort(first)]
-        pairs = np.vstack([pairs, rng.integers(0, p, size=(n - len(first), 2))])
-
-
-def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generator) -> int:
+def _conditions_rank(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> int:
     """Rank of the conditions that the system's points impose on degree-d curves.
 
     A point (x, y, 1) of multiplicity m asks every coefficient of s^u t^v
@@ -136,16 +120,16 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
     x^a y^b z^c that coefficient is C(a, u) C(b, v) x^(a-u) y^(b-v), so the
     conditions are exact in every characteristic.
 
-    The three heaviest points sit at (1:0:0), (0:1:0) and (0:0:1); only the
-    other n - 3 are drawn, by `_draw_points`.  The dimension at general
-    points does not move: PGL(3) is transitive on non-collinear triples and
-    the generic-rank locus is open, so with the rest random the rank drops
-    only at special configurations, as before.  A point of multiplicity m at
+    The three heaviest points sit at (1:0:0), (0:1:0) and (0:0:1); the other
+    n - 3 sit at (x:y:1) for the rows (x, y) of `pts`, an (n - 3) x 2 array
+    of residues mod p, in multiplicity order.  Any points are ranked as
+    given: coincident rows, or a row (0, 0) on top of (0:0:1), are special
+    configurations whose rank may drop.  A point of multiplicity m at
     (0:0:1) asks each monomial x^a y^b z^c with a + b < m to vanish on its
     own (likewise b + c < m at (1:0:0) and a + c < m at (0:1:0)).  These unit
-    rows kill a column set K, so the rank is |K| plus the rank of the drawn
+    rows kill a column set K, so the rank is |K| plus the rank of the other
     points' rows outside K.  The index sets u + v < m are nested in m, so
-    the drawn points share one block over u + v < max m, each point keeping
+    those points share one block over u + v < max m, each point keeping
     the rows below its own multiplicity.
     """
     d, p = sys.degree, field.modulus
@@ -154,7 +138,6 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
     for mult, e in zip(sys.mults[:3], exps):
         alive &= e <= d - mult
     rest = [min(mult, d + 1) for mult in sys.mults[3:]]
-    pts = _draw_points(len(rest), p, rng)
     killed = len(alive) - int(alive.sum())
     if not rest or not alive.any():
         return killed
@@ -178,13 +161,13 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, rng: np.random.Generat
 def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     """Dimension of the system at general points, via the conditions matrix.
 
-    The conditions rank at special points only drops, so the generic
-    dimension is the smaller value over two point sets over
-    F_DEFAULT_PRIME; the second is drawn only when the first misses the
-    expected dimension.  Each set puts its three heaviest points at the
-    coordinate points and draws the rest (`_conditions_rank`): the
-    dimension is invariant under PGL(3), which moves any three
-    non-collinear points there.
+    Each point set puts its three heaviest points at the coordinate points,
+    which PGL(3) may do since it moves any three non-collinear points there,
+    and draws the other n - 3 in one block of random pairs over
+    F_DEFAULT_PRIME (`_conditions_rank`).  The conditions rank at special
+    points, a coincident pair among them, only drops, so the generic
+    dimension is the smaller value over two sets; the second is drawn only
+    when the first misses the expected dimension.
     """
     if sys.degree < 0:
         return 0
@@ -193,10 +176,11 @@ def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     # differ only in them draw different points, and the seed stays short.
     runs = [x for m, group in groupby(sys.mults) for x in (m, sum(1 for _ in group))]
     rng = np.random.default_rng([seed, DEFAULT_PRIME, sys.degree, *runs, 0xFA7])
+    size = (max(sys.num_points - 3, 0), 2)
     n_mono = binom(sys.degree + 2, 2)
-    dim = n_mono - _conditions_rank(sys, field, rng)
+    dim = n_mono - _conditions_rank(sys, field, rng.integers(0, DEFAULT_PRIME, size=size))
     if dim != expected_dim(sys):
-        dim = min(dim, n_mono - _conditions_rank(sys, field, rng))
+        dim = min(dim, n_mono - _conditions_rank(sys, field, rng.integers(0, DEFAULT_PRIME, size=size)))
     return dim
 
 

@@ -277,6 +277,12 @@ _KEPT_FLAGS = {
 def test_commands_take_only_the_flags_they_read(capsys):
     assert run_cli(capsys, "classify", "--powers", "3,3,3,3", "--k", "3", "--seed", "1")[0] == 2
     assert run_cli(capsys, "hilbert", "--powers", "3,3,3,3", "--format", "csv")[0] == 2
+    # A seed must be a non-negative integer; the usage error names the flag.
+    for command in ("hilbert", "rank", "scan", "verify"):
+        for seed in ("-1", "x"):
+            code, out, err = run_cli(capsys, command, *_REQUIRED_ARGS[command], "--seed", seed)
+            assert (code, out) == (2, ""), (command, seed)
+            assert err.endswith(f"error: argument --seed: expected a non-negative integer: '{seed}'\n"), (command, seed)
     parser = cli.build_parser()
     for command, kept in _KEPT_FLAGS.items():
         for flag in ("--vars", "--prime", "--seed", "--trials", "--format"):

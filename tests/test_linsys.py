@@ -11,7 +11,6 @@ from leflab.linsys import (
     PlaneSystem,
     StepNotApplicable,
     _conditions_rank,
-    _draw_points,
     ah_double_dim,
     bezout_step,
     binom,
@@ -22,7 +21,7 @@ from leflab.linsys import (
     is_standard_form,
     system_dim,
 )
-from leflab.modp import DenseMatrix, PrimeField, matrix_rank
+from leflab.modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from leflab.oracle import ExponentSpec
 
 
@@ -99,19 +98,22 @@ def test_fatpoint_dim_on_the_full_double_point_table():
             assert fatpoint_dim(PlaneSystem(d, (2,) * m)) == ah_double_dim(d, m), (d, m)
 
 
-def scalar_draw_points(n, p, rng):
-    """n affine points drawn x then y one scalar at a time, redrawing a repeated pair.
+SPECIAL_DRAWS = (None, "coincident", "origin")
 
-    Returns the points in draw order and the number of redrawn pairs.
+
+def drawn_points(sys_, p, seed, special=None):
+    """The n - 3 drawn points as one (x, y) block from a seeded generator.
+
+    `special` makes the block a special configuration where it has room:
+    "coincident" puts the last point on the first, and "origin" puts the
+    first at (0, 0), which is the coordinate point (0:0:1).
     """
-    points, skipped = [], 0
-    for _ in range(n):
-        pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
-        while pt in points:
-            skipped += 1
-            pt = (int(rng.integers(0, p)), int(rng.integers(0, p)))
-        points.append(pt)
-    return points, skipped
+    pts = np.random.default_rng(seed).integers(0, p, size=(max(sys_.num_points - 3, 0), 2))
+    if special == "coincident" and len(pts) >= 2:
+        pts[-1] = pts[0]
+    if special == "origin" and len(pts) >= 1:
+        pts[0] = 0
+    return pts
 
 
 def scalar_exponents(d):
@@ -153,36 +155,20 @@ def scalar_conditions_matrix(sys_, p, points):
     return rows
 
 
-def assert_matches_scalar_reference(sys_, field, seed):
-    """`_draw_points` gives one point per multiplicity as the scalar draws do.
-
-    Same points in the same order, and the same generator state after.
-    Returns the number of redrawn pairs.
-    """
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = _draw_points(sys_.num_points, field.modulus, rng)
-    points, skipped = scalar_draw_points(sys_.num_points, field.modulus, ref_rng)
-    assert drawn.dtype == np.int64 and drawn.shape == (len(points), 2), sys_
-    assert [tuple(pt) for pt in drawn.tolist()] == points, sys_
-    assert rng.bit_generator.state == ref_rng.bit_generator.state, sys_
-    return skipped
-
-
 COORDINATE_POINTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-def assert_rank_matches_scalar_reference(sys_, field, seed):
-    """`_conditions_rank` is the full rank at the coordinate points plus the drawn rest.
+def assert_rank_matches_scalar_reference(sys_, field, pts):
+    """`_conditions_rank` is the full rank at the coordinate points plus the given rest.
 
     The three heaviest points sit at the coordinate points; the rest are the
-    points that the same-seeded generator draws.  Each coordinate-point row
-    is a nonzero multiple of a unit vector, and together they cover exactly
-    the columns of the monomials that vanish there to the multiplicity.
+    rows (x, y) of `pts`, at (x, y, 1).  Each coordinate-point row is a
+    nonzero multiple of a unit vector, and together they cover exactly the
+    columns of the monomials that vanish there to the multiplicity.
     """
     p, d = field.modulus, sys_.degree
-    rank = _conditions_rank(sys_, field, np.random.default_rng(seed))
-    rest, _ = scalar_draw_points(max(sys_.num_points - 3, 0), p, np.random.default_rng(seed))
-    rows = scalar_conditions_matrix(sys_, p, COORDINATE_POINTS + [(x, y, 1) for x, y in rest])
+    rank = _conditions_rank(sys_, field, pts)
+    rows = scalar_conditions_matrix(sys_, p, COORDINATE_POINTS + [(x, y, 1) for x, y in pts.tolist()])
     assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
     exps = scalar_exponents(d)
     # The i-th coordinate point, of multiplicity m, kills the monomials whose
@@ -214,9 +200,11 @@ def test_conditions_rank_matches_scalar_reference(prime):
     field = PrimeField(prime)
     for seed, sys_ in enumerate(SYSTEMS):
         for trial in range(2):
-            assert_matches_scalar_reference(sys_, field, [seed, trial])
-            assert_rank_matches_scalar_reference(sys_, field, [seed, trial])
-    assert _conditions_rank(PlaneSystem(4, (2,) * 5), field, np.random.default_rng(0)) == 14
+            for special in SPECIAL_DRAWS:
+                pts = drawn_points(sys_, prime, [seed, trial], special)
+                assert_rank_matches_scalar_reference(sys_, field, pts)
+    five_doubles = PlaneSystem(4, (2,) * 5)
+    assert _conditions_rank(five_doubles, field, drawn_points(five_doubles, prime, 0)) == 14
 
 
 @st.composite
@@ -226,15 +214,9 @@ def plane_systems(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1))
-def test_draw_points_matches_scalar_reference(sys_, prime, seed):
-    assert_matches_scalar_reference(sys_, PrimeField(prime), seed)
-
-
-@settings(max_examples=100, deadline=None)
-@given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1))
-def test_conditions_rank_matches_scalar_reference_on_random_systems(sys_, prime, seed):
-    assert_rank_matches_scalar_reference(sys_, PrimeField(prime), seed)
+@given(plane_systems(), st.sampled_from([101, 2147483647]), st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_DRAWS))
+def test_conditions_rank_matches_scalar_reference_on_random_systems(sys_, prime, seed, special):
+    assert_rank_matches_scalar_reference(sys_, PrimeField(prime), drawn_points(sys_, prime, seed, special))
 
 
 def scalar_taylor_rows(d, p, mult, point):
@@ -260,31 +242,18 @@ def scalar_taylor_rows(d, p, mult, point):
 
 
 @settings(max_examples=100, deadline=None)
-@given(plane_systems(), st.sampled_from([3, 5, 7]), st.integers(0, 2**32 - 1))
-@example(PlaneSystem(10, (5,) * 5), 3, 0)  # derivative rows of order >= p vanish here
-def test_conditions_rank_matches_taylor_reference_at_small_primes(sys_, prime, seed):
+@given(plane_systems(), st.sampled_from([3, 5, 7]), st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_DRAWS))
+@example(PlaneSystem(10, (5,) * 5), 3, 0, None)  # derivative rows of order >= p vanish here
+@example(PlaneSystem(6, (2,) * 7), 7, 0, "coincident")
+@example(PlaneSystem(6, (3, 2, 2, 2, 2)), 5, 0, "origin")
+def test_conditions_rank_matches_taylor_reference_at_small_primes(sys_, prime, seed, special):
     # p <= d is allowed: the Taylor coefficients are exact in every characteristic.
     field = PrimeField(prime)
-    rank = _conditions_rank(sys_, field, np.random.default_rng(seed))
-    rest, _ = scalar_draw_points(max(sys_.num_points - 3, 0), prime, np.random.default_rng(seed))
-    points = COORDINATE_POINTS + [(x, y, 1) for x, y in rest]
+    pts = drawn_points(sys_, prime, seed, special)
+    rank = _conditions_rank(sys_, field, pts)
+    points = COORDINATE_POINTS + [(x, y, 1) for x, y in pts.tolist()]
     rows = [row for mult, pt in zip(sys_.mults, points) for row in scalar_taylor_rows(sys_.degree, prime, mult, pt)]
     assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
-
-
-def test_draw_points_redraws_repeated_points():
-    # F_3 has nine affine points, so four to six draws often repeat a pair.
-    field = PrimeField(3)
-    skipped = 0
-    for seed in range(12):
-        for mults in ((4, 3, 2, 1), (3, 3, 2, 2, 1), (5, 2, 2, 1, 1, 1)):
-            skipped += assert_matches_scalar_reference(PlaneSystem(4, mults), field, seed)
-    assert skipped > 0
-
-
-def test_draw_points_refuses_more_points_than_the_plane_has():
-    with pytest.raises(ValueError):
-        _draw_points(10, 3, np.random.default_rng(0))
 
 
 def test_fatpoint_dim_degenerate():
@@ -298,18 +267,45 @@ def test_fatpoint_dim_degenerate():
 def test_fatpoint_dim_seeds_by_multiplicities(monkeypatch):
     # Two systems of one degree and point count draw different points; both
     # meet their expected dimension on the first draw, so each draws once.
-    from leflab import linsys
+    drawn = []
 
-    states = []
-
-    def spy(sys, field, rng):
-        states.append(rng.bit_generator.state["state"])
-        return _conditions_rank(sys, field, rng)
+    def spy(sys, field, pts):
+        drawn.append(pts.copy())
+        return _conditions_rank(sys, field, pts)
 
     monkeypatch.setattr(linsys, "_conditions_rank", spy)
     for mults in ((3,) * 7, (4, 3, 3, 3, 3, 3, 2)):
         fatpoint_dim(PlaneSystem(6, mults))
-    assert len(states) == 2 and states[0] != states[1]
+    assert len(drawn) == 2 and drawn[0].shape == drawn[1].shape == (4, 2)
+    assert not np.array_equal(drawn[0], drawn[1])
+
+
+def test_fatpoint_dim_recovers_from_a_coincident_first_draw(monkeypatch):
+    # Seven general double points impose independent conditions on sextics.
+    # A first block with two equal points leaves six, so the dimension
+    # misses the expected one and a second block is drawn.
+    sys_ = PlaneSystem(6, (2,) * 7)
+    real_rng = np.random.default_rng
+    blocks = []
+
+    class CoincidentFirstBlock:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def integers(self, low, high, size):
+            pts = self.rng.integers(low, high, size=size)
+            if not blocks:
+                pts[1] = pts[0]
+            blocks.append(pts.copy())
+            return pts
+
+    monkeypatch.setattr(np.random, "default_rng", CoincidentFirstBlock)
+    dim = fatpoint_dim(sys_)
+    monkeypatch.undo()
+    field = PrimeField(DEFAULT_PRIME)
+    assert len(blocks) == 2 and np.array_equal(blocks[0][0], blocks[0][1])
+    assert binom(8, 2) - _conditions_rank(sys_, field, blocks[0]) == 10
+    assert dim == system_dim(sys_)[0] == expected_dim(sys_) == 7
 
 
 def _random_system(rng) -> PlaneSystem:
