@@ -2,8 +2,9 @@
 
 One row per exponent multiset.  The theory engine predicts the failing
 degrees from arithmetic alone; the oracle recomputes them by row reduction
-over two distinct 31-bit primes when anything disagrees.  The same sweep is
-available from the command line:
+over the default 31-bit prime, and retries a disagreeing row once over the
+fixed second prime `harness.SECOND_PRIME`, with a new seed and more trials.
+The same sweep is available from the command line:
 
     leflab verify --vars 3 --k 3 --s-min 4 --s-max 5 --a-min 2 --a-max 4
 """

@@ -1,11 +1,13 @@
 """Command-line front end: exact reports and theory-vs-oracle sweeps.
 
 All results go to standard output as compact JSON; `verify --format csv`
-switches the sweep rows to semicolon-separated CSV.  Exit codes: 0 on
-success, 1 when `verify` finds a disagreement that survives the second-prime
-retry, 2 on usage errors, 3 on any other (unexpected) error.  The CLI
-decides no closed form itself: `classify` and `verify` print
-`theory.verdict_for`, and `slp` prints `theory.slp_verdict`.
+switches the sweep rows to semicolon-separated CSV.  `verify` samples over
+`--prime` and retries a disagreeing row once on the fixed
+`harness.SECOND_PRIME`; no flag changes the retry.  Exit codes: 0 on
+success, 1 when `verify` finds a disagreement that survives the retry, 2 on
+usage errors, 3 on any other (unexpected) error.  The CLI decides no closed
+form itself: `classify` and `verify` print `theory.verdict_for`, and `slp`
+prints `theory.slp_verdict`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .modp import DEFAULT_PRIME
-from .harness import SECOND_PRIME, SweepConfig, run_verification
+from .harness import SweepConfig, run_verification
 from .linsys import PlaneSystem, system_dim
 from .oracle import (
     DEFAULT_TRIALS,
@@ -107,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--s-max", type=int, default=6)
     sub.add_argument("--a-min", type=int, default=2)
     sub.add_argument("--a-max", type=int, default=6)
-    sub.add_argument("--second-prime", type=int, default=SECOND_PRIME)
     _add_common(sub, *_COMMON_FLAGS)
     return parser
 
@@ -210,7 +211,7 @@ def _cmd_verify(args) -> int:
         specs=specs,
         s_range=(args.s_min, args.s_max),
         exp_range=(args.a_min, args.a_max),
-        primes=(args.prime, args.second_prime),
+        prime=args.prime,
         trials=args.trials,
         seed=args.seed,
     )

@@ -193,10 +193,9 @@ def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> L
 def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) -> IdealSample:
     """Draw forms for `spec`, seeded by `seed` and the spec, until any min(r, s) are independent.
 
-    Each attempt draws its s forms as one (s, r) block, which takes the same
-    values and leaves the generator in the same state as s `random_form`
-    draws.  Zero rows are dropped and the block is topped up with one row
-    per dropped one, in stream order, as `random_form` draws again in place.
+    Each attempt draws its s forms as one (s, r) block.  An attempt with a
+    zero row is drawn again whole, like one whose forms are not in general
+    position: both are special draws, and there is one retry rule for them.
     """
     field = PrimeField(prime)
     bound = 2 * (max(spec.exponents) + spec.s + 10)
@@ -205,9 +204,9 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
     r = spec.num_vars
     rng = np.random.default_rng([seed, r, *spec.exponents])
     while True:
-        rows: list[list[int]] = []
-        while len(rows) < spec.s:
-            rows += [row for row in rng.integers(0, prime, size=(spec.s - len(rows), r)).tolist() if any(row)]
+        rows = rng.integers(0, prime, size=(spec.s, r)).tolist()
+        if not all(map(any, rows)):
+            continue
         sample = IdealSample(spec, tuple(LinearFormRep(tuple(row)) for row in rows), field, seed)
         if _in_general_position(sample):
             return sample

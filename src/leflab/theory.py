@@ -110,19 +110,14 @@ def classify_cube(spec: ExponentSpec) -> Verdict:
 
 
 def wlp_cube_uniform_4vars(s: int, t: int) -> Verdict:
-    """WLP in four variables for a cube plus s copies of t.
+    """WLP in four variables for a cube plus s copies of t, by `verdict_for`.
 
-    Holds iff s is odd, or s is even and t is not a multiple of s-1; when it
-    fails, surjectivity misses by one in the single degree s*t/(s-1).  This
-    is `verdict_for` on `(3,) + (t,) * s` with k = 1, kept as a direct
-    formula because the benchmark workloads check their scans against it.
+    Kept only because the benchmark workloads call it by this name; the
+    uniform closed form s*t/(s-1) is an expected value in the tests.
     """
     if s < 4 or t < 3:
         raise ValueError("need s >= 4 and t >= 3")
-    if s % 2 == 1 or t % (s - 1) != 0:
-        return Verdict()
-    j = s * t // (s - 1)
-    return Verdict((DegreeFailure(j, 1),))
+    return verdict_for(ExponentSpec(4, (3,) + (t,) * s), 1)
 
 
 def verdict_for(spec: ExponentSpec, k: int) -> Verdict:

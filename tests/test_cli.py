@@ -182,22 +182,25 @@ def test_verify_exit_one_on_disagreement(capsys, monkeypatch):
 
 
 def test_verify_second_prime_retry_resolves_transient_disagreement(monkeypatch):
-    # A special first sample is retried on the second prime; when the retry
-    # agrees, the row counts as agreement and the exit code stays zero.
-    calls = []
+    # A special first sample is retried on the second prime, with the next
+    # seed and three times the trials; when the retry agrees, the row counts
+    # as agreement and the exit code stays zero.  The seed changes, so a
+    # sweep already over the second prime still retries on a fresh sample.
     real = harness._oracle_failures
+    for prime in (2147483647, harness.SECOND_PRIME):
+        calls = []
 
-    def flaky(spec, k, prime, seed, trials):
-        calls.append(prime)
-        if len(calls) == 1:
-            return ((99, 1),)
-        return real(spec, k, prime, seed, trials)
+        def flaky(spec, k, prime, seed, trials):
+            calls.append((prime, seed, trials))
+            if len(calls) == 1:
+                return ((99, 1),)
+            return real(spec, k, prime, seed, trials)
 
-    monkeypatch.setattr(harness, "_oracle_failures", flaky)
-    rows, summary = run_verification(SweepConfig(specs=((3, 3, 3, 3),), k=3))
-    assert summary["disagreements"] == 0
-    assert rows[0].agree and rows[0].retried
-    assert len(calls) == 2 and calls[1] == harness.SECOND_PRIME
+        monkeypatch.setattr(harness, "_oracle_failures", flaky)
+        rows, summary = run_verification(SweepConfig(specs=((3, 3, 3, 3),), k=3, prime=prime, trials=2, seed=7))
+        assert summary["disagreements"] == 0
+        assert rows[0].agree and rows[0].retried
+        assert calls == [(prime, 7, 2), (harness.SECOND_PRIME, 8, 6)]
 
 
 def test_output_byte_stable(capsys):
@@ -226,9 +229,16 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run_cli(capsys, "slp", "--vars", "3", "--powers", powers)
         assert (code, out) == (2, ""), powers
         assert err == "error: need at least three forms in three variables\n", powers
-    # A bad retry prime is refused before the sweep, even with no retry due.
-    code, out, err = run_cli(capsys, "verify", "--specs", "3,3,3,3", "--second-prime", "4")
+    # A bad prime is refused before the sweep; the retry prime is no flag.
+    code, out, err = run_cli(capsys, "verify", "--specs", "3,3,3,3", "--prime", "4")
     assert (code, out, err) == (2, "", "error: modulus 4 is not prime\n")
+    code, out, err = run_cli(capsys, "verify", "--specs", "3,3,3,3", "--second-prime", "4")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --second-prime 4" in err
+    # A sweep of fewer than one form is refused by name, not by itertools.
+    for s_min in ("-1", "0"):
+        code, out, err = run_cli(capsys, "verify", "--s-min", s_min)
+        assert (code, out, err) == (2, "", f"error: sweep range s = {s_min}..6 needs s >= 1\n"), s_min
     # A malformed --specs part is a usage error, like a malformed --powers.
     code, out, err = run_cli(capsys, "verify", "--specs", "3,a,3,3")
     assert (code, out, err) == (2, "", "error: expected a comma-separated integer list: '3,a,3,3'\n")
@@ -425,13 +435,6 @@ def test_run_verification_rows_sorted_and_complete():
 
 
 def test_sweep_config_validation():
-    # One prime and one retry prime, no fewer.
-    for primes in ((), (2147483647,)):
-        with pytest.raises(ValueError, match="need a prime and a retry prime"):
-            SweepConfig(primes=primes)
-    # A third prime would never be tried.
-    with pytest.raises(ValueError):
-        SweepConfig(primes=(2147483647, 2147483629, 2147483587))
     with pytest.raises(ValueError):
         SweepConfig(trials=0)
     for k in (0, -1):
@@ -439,10 +442,13 @@ def test_sweep_config_validation():
             SweepConfig(k=k)
     with pytest.raises(ValueError):
         SweepConfig(s_range=(5, 4))
-    # Every prime is checked up front, the retry prime included.
-    for primes in ((4, harness.SECOND_PRIME), (2147483647, 4), (2147483647, 2**31 + 11)):
+    for s_range in ((-1, 6), (0, 0)):
+        with pytest.raises(ValueError, match="sweep range"):
+            SweepConfig(s_range=s_range)
+    # The prime is checked up front: a composite, and one wider than 31 bits.
+    for prime in (4, 2**31 + 11):
         with pytest.raises(ValueError):
-            SweepConfig(primes=primes)
+            SweepConfig(prime=prime)
 
 
 def test_public_names_resolve():

@@ -49,7 +49,7 @@ def test_is_prime_matches_a_sieve_and_wide_moduli_are_refused_at_once():
         with pytest.raises(ValueError, match="31 bits"):
             PrimeField(modulus)
         assert cli.main(["hilbert", "--powers", "2,2,2", "--prime", str(modulus)]) == 2
-        assert cli.main(["verify", "--specs", "2,2,2", "--second-prime", str(modulus)]) == 2
+        assert cli.main(["verify", "--specs", "2,2,2", "--prime", str(modulus)]) == 2
         assert time.perf_counter() - start < 1
 
 

@@ -106,23 +106,20 @@ def test_specs_draw_independent_samples():
 
 
 def reference_sample_forms(spec, prime, rng):
-    """The forms `sample_ideal` draws from `rng`, drawn form by form as it once drew them.
+    """The forms `sample_ideal` draws from `rng`, drawn form by form.
 
     Shares no code with the library's draws: each form is one
-    `rng.integers` call of r coefficients, a zero form is drawn again, and
-    attempts repeat until every min(r, s) forms are independent.
+    `rng.integers` call of r coefficients, and attempts of s forms repeat
+    until no form is zero and every min(r, s) forms are independent.
     """
     field = PrimeField(prime)
     while True:
-        forms = []
-        for _ in range(spec.s):
-            while True:
-                coeffs = tuple(int(v) for v in rng.integers(0, prime, size=spec.num_vars))
-                if any(coeffs):
-                    break
-            forms.append(LinearFormRep(coeffs))
-        if subsets_independent(IdealSample(spec, tuple(forms), field, seed=0)):
-            return tuple(forms)
+        draws = [tuple(int(v) for v in rng.integers(0, prime, size=spec.num_vars)) for _ in range(spec.s)]
+        if not all(any(coeffs) for coeffs in draws):
+            continue
+        forms = tuple(LinearFormRep(coeffs) for coeffs in draws)
+        if subsets_independent(IdealSample(spec, forms, field, seed=0)):
+            return forms
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,23 +140,10 @@ _default_rng = np.random.default_rng
 
 
 class ZeroingGenerator:
-    """A generator stub whose draws at the given stream positions are 0.
-
-    It counts the values drawn, and its `bit_generator.state` saves and
-    restores that count with the wrapped generator's state.
-    """
+    """A generator stub whose draws at the given stream positions are 0."""
 
     def __init__(self, seed, zeros):
         self.rng, self.zeros, self.drawn = _default_rng(seed), zeros, 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.rng.bit_generator.state, self.drawn
-
-    @state.setter
-    def state(self, value):
-        self.rng.bit_generator.state, self.drawn = value
 
     def integers(self, low, high, size):
         out = self.rng.integers(low, high, size=size)
@@ -173,12 +157,13 @@ class ZeroingGenerator:
 
 @pytest.mark.parametrize("zeros", [range(0, 3), range(3, 6), range(3, 9), range(9, 12)])
 def test_zero_row_in_block_falls_back_to_per_form_draws(monkeypatch, zeros):
-    # Zero the first form, the second, the second and its redraw, or the last.
+    # Zero the first form, the second, the second and third, or the last: the
+    # whole first attempt is drawn again, so the forms are the second block.
     spec, seed = ExponentSpec(3, (2, 3, 3, 4)), 5
     key = [seed, 3, *spec.exponents]
     expected = reference_sample_forms(spec, DEFAULT_PRIME, ZeroingGenerator(key, set(zeros)))
-    block = _default_rng(key).integers(0, DEFAULT_PRIME, size=(4, 3)).tolist()
-    assert [f.coeffs for f in expected] != [tuple(row) for row in block]
+    blocks = _default_rng(key).integers(0, DEFAULT_PRIME, size=(2, 4, 3)).tolist()
+    assert [f.coeffs for f in expected] == [tuple(row) for row in blocks[1]]
     monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroingGenerator(seed, set(zeros)))
     assert sample_ideal(spec, seed=seed).forms == expected
 

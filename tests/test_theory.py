@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leflab.oracle import ExponentSpec, NonArtinianError
+from leflab.oracle import DegreeFailure, ExponentSpec, NonArtinianError
 from leflab.theory import (
     FAILS,
     MAXIMAL,
@@ -258,23 +258,28 @@ def test_wlp_cube_uniform_4vars():
         assert wlp_cube_uniform_4vars(5, t).status == MAXIMAL
     v = wlp_cube_uniform_4vars(6, 5)
     assert v.status == FAILS and v.failing_degrees == (6,)
-    with pytest.raises(ValueError):
-        wlp_cube_uniform_4vars(3, 5)
+    # The uniform closed form: the WLP fails iff s is even and s - 1 divides
+    # t, and then surjectivity misses by one in the single degree s*t/(s-1).
+    for s in range(4, 9):
+        for t in range(3, 21):
+            fails = s % 2 == 0 and t % (s - 1) == 0
+            expected = (DegreeFailure(s * t // (s - 1), 1),) if fails else ()
+            assert wlp_cube_uniform_4vars(s, t).failures == expected, (s, t)
+    for s, t in ((3, 5), (4, 2)):
+        with pytest.raises(ValueError):
+            wlp_cube_uniform_4vars(s, t)
 
 
 def test_wlp_cube_uniform_4vars_is_verdict_for():
     for s in range(4, 9):
         for t in range(3, 21):
             spec = ExponentSpec(4, (3,) + (t,) * s)
-            verdict = verdict_for(spec, 1)
-            assert verdict.failures == wlp_cube_uniform_4vars(s, t).failures, (s, t)
-            assert all(f.deficiency == 1 for f in verdict.failures), (s, t)
+            assert wlp_cube_uniform_4vars(s, t) == verdict_for(spec, 1), (s, t)
             assert slp_verdict(spec).rule == "cube-uniform"
 
 
 def test_verdict_validation():
     # The status follows the failures both ways, so no verdict contradicts itself.
-    from leflab.oracle import DegreeFailure
     from leflab.theory import Verdict
 
     assert Verdict().status == MAXIMAL
