@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
-from .oracle import ExponentSpec
+from .oracle import ExponentSpec, _seeded_rng
 from .polyring import monomial_basis
 
 
@@ -175,7 +175,7 @@ def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     # The multiplicities go in as (multiplicity, count) pairs: systems that
     # differ only in them draw different points, and the seed stays short.
     runs = [x for m, group in groupby(sys.mults) for x in (m, sum(1 for _ in group))]
-    rng = np.random.default_rng([seed, DEFAULT_PRIME, sys.degree, *runs, 0xFA7])
+    rng = _seeded_rng([seed, DEFAULT_PRIME, sys.degree, *runs, 0xFA7])
     size = (max(sys.num_points - 3, 0), 2)
     n_mono = binom(sys.degree + 2, 2)
     dim = n_mono - _conditions_rank(sys, field, rng.integers(0, DEFAULT_PRIME, size=size))

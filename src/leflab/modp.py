@@ -8,15 +8,20 @@ comfortably in int64 and no multiprecision arithmetic is ever needed.
 `_echelon` is the one elimination kernel, and it has one mode: a plain row
 echelon form with unit pivots, which gives ranks (`matrix_rank`) and, taken
 pivot by pivot, normal forms (`row_echelon`, `reduce_rows`).  Matrices of
-at most SMALL_CELLS cells (100) are eliminated on lists of Python ints,
-where numpy's per-call overhead would dominate; larger ones with numpy row
-operations.  Both paths pick the first nonzero entry at or below the
-current row as the pivot and invert it with `pow(x, -1, p)`, so they
-return the same rows and pivots.  The limit is the measured crossover of
-the two paths (see SMALL_CELLS).  The numpy path reduces each row update
-by `reduce_mod`, as `x - x // p * p`, which numpy computes about twice as
-fast as `x % p` (its integer division by a scalar uses libdivide, its
-remainder does not).  Every entry stays in (-p^2, p^2), so the two agree.
+at most SMALL_CELLS cells (60) are eliminated on lists of Python ints,
+where numpy's per-call overhead would dominate; larger ones with numpy
+operations on the trailing block, the rows and columns not yet finished,
+which loses one row and one column per pivot.  When at least 3/4 of its
+rows below the pivot are nonzero in the pivot column, the next block is
+computed out of place as one contiguous array; otherwise only those rows
+are gathered, updated and written back.  Both paths pick the first
+nonzero entry at or below the current row as the pivot and invert it with
+`pow(x, -1, p)`, so they return the same rows and pivots.  The limit is
+the measured crossover of the two paths (see SMALL_CELLS).  The numpy path
+reduces each update by `reduce_mod`, as `x - x // p * p`, which numpy
+computes about twice as fast as `x % p` (its integer division by a scalar
+uses libdivide, its remainder does not).  Every entry stays in
+(-p^2, p^2), so the two agree.
 `all_minors_nonzero`, the general-position test of the oracle's samples,
 eliminates nothing: it expands each minor along its first row into the
 minors one size smaller.
@@ -99,16 +104,20 @@ class DenseMatrix:
 
 # The crossover of the two `_echelon` paths, timed on one core of a 2-vCPU
 # x86-64 host (Python 3.11, numpy 2.4, p = DEFAULT_PRIME), with the numpy
-# path reducing by `reduce_mod`.  On dense random full-rank matrices, best
-# of 5 timeit runs (the faster of two sessions), the Python path took
-# 15 / 43 / 149 / 257 us and the numpy path 36 / 54 / 174 / 181 us at
-# 3x3 / 4x12 / 10x10 / 12x12.  Replaying every matrix of 20-400 cells that
-# one default `leflab verify` sweep eliminates (735 of 1,592), the total
-# time is lowest at 100 cells (60-66 ms; 75 and 125 are within 1.3 ms, 200
-# is 3 ms slower).  For the four-variable WLP scans (90 of 158) it is
-# 0.2-0.3 ms lower at 50-75 than at 100, out of 12-13 ms, and rises from
-# 125 up.
-SMALL_CELLS = 100
+# path on the trailing block, in two timing rounds; the host ran about 40%
+# faster in the second.  On dense random full-rank matrices, best of 5
+# timeit runs in the slower round, the Python path took 18 / 57 / 200 /
+# 349 us and the numpy path 44 / 58 / 165 / 188 us at 3x3 / 4x12 / 10x10 /
+# 12x12.  Replaying every matrix of 20-400 cells that one seed-7 pass of
+# the benchmark's verify sweep eliminates (735 of 1,592), best of 5 each,
+# the total time is lowest at 60 cells in both rounds (64.9 and 40.1 ms;
+# 50 and 75 are within 1%, 100 is 1.5-2% slower, 200 is 12-14% slower):
+# the Python path still wins on its 411 matrices of 20-50 cells (20.0
+# against 25.4 ms), the numpy path on its 64 of 76-100 (7.9 against
+# 8.8 ms).  The four-variable WLP scans (90 of 158) and the plane systems
+# (120 of 604) are 3-4% slower at 60 than at 20-40, their lowest; over all
+# three workloads together 40-60 is lowest.
+SMALL_CELLS = 60
 
 
 def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -145,30 +154,49 @@ def _echelon_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`_echelon` with numpy row operations, one pivot at a time."""
-    a = np.array(arr, dtype=np.int64)
-    m, n = a.shape
+    """`_echelon` with numpy operations on the trailing block, one pivot at a time.
+
+    `t` is the block below the finished rows and right of the last pivot:
+    each pivot takes one row and one column off it, a zero column only its
+    column.  Finished rows go to the top of the working copy `a`, which `t`
+    is a view of until its first out-of-place update.
+    """
+    a = t = np.array(arr, dtype=np.int64)
     pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
+    for c in range(a.shape[1]):
+        if not t.shape[0]:
             break
-        nz = a[r:, c].nonzero()[0]
+        nz = t[:, 0].nonzero()[0]
         if nz.size == 0:
+            t = t[:, 1:]
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        # The rows below the pivot that are nonzero in column c, from the
-        # same scan; a swap only moved row r's zero entry to row i.
-        rows = nz[1:] + r
-        if rows.size:
-            a[rows, c:] = reduce_mod(a[rows, c:] - a[rows, c][:, None] * a[r, c:], p)
+        i = int(nz[0])
+        u = t[i] * pow(int(t[i, 0]), -1, p) % p
+        if i:
+            # The pivot row leaves the block; row 0 takes its place.
+            t[i] = t[0]
+        k = len(pivots)
+        a[k, :c] = 0
+        a[k, c:] = u
         pivots.append(c)
-        r += 1
-    return a[:r], pivots
+        # The rows below the pivot that are nonzero in column c, from the
+        # same scan; the swap only moved row 0's zero entry to row i.
+        rows = nz[1:]
+        below = t.shape[0] - 1
+        # Updating the whole block out of place takes about 5 passes over
+        # every row, gathering, updating and scattering the nonzero rows
+        # about 7 over those rows; the two cost the same at 3/4 of them.
+        if 4 * rows.size >= 3 * below > 0:
+            d = t[1:, :1] * u[1:]
+            t = np.subtract(t[1:, 1:], d, out=d)
+            reduce_mod(t, p)
+        else:
+            f = t[rows, :1]
+            t = t[1:, 1:]
+            if rows.size:
+                rows -= 1
+                t[rows] = reduce_mod(t[rows] - f * u[1:], p)
+    return a[:len(pivots)], pivots
 
 
 def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

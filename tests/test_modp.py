@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leflab import cli
+from leflab import cli, modp
 from leflab.harness import SECOND_PRIME
 from leflab.modp import (
     DEFAULT_PRIME,
@@ -198,6 +198,10 @@ def build_matrix(p, rows, cols, rank, density, dense_cols, seed):
 @given(matrix_params())
 @example((DEFAULT_PRIME, 124, 165, 124, 1.0, 0, 7))
 @example((2, 130, 170, 100, 0.2, 4, 8))
+# Sparse at first, so the trailing block takes the few-rows update before
+# fill-in makes it dense; the second stays mostly on the few-rows update.
+@example((DEFAULT_PRIME, 130, 170, 130, 0.05, 0, 1))
+@example((101, 130, 170, 90, 0.05, 2, 3))
 def test_small_and_large_paths_agree(params):
     m, _ = build_matrix(*params)
     p = m.field.modulus
@@ -218,6 +222,47 @@ def test_small_and_large_paths_agree(params):
     assert ech_pivots == tuple(pivots)
     assert np.array_equal(ech.entries, small_rows)
     assert matrix_rank(m) == len(pivots)
+
+
+def update_kinds(monkeypatch, arr, p):
+    """`_echelon_large(arr, p)`, and which update each of its `reduce_mod` calls made.
+
+    A call at the pivot in column c updates a block `n - c - 1` wide; it is
+    the out-of-place update when it covers every row below that pivot.
+    """
+    calls = []
+    real = reduce_mod
+    monkeypatch.setattr(modp, "reduce_mod", lambda x, q: (calls.append(x.shape), real(x, q))[1])
+    rows, pivots = _echelon_large(arr, p)
+    monkeypatch.undo()
+    m, n = arr.shape
+    kinds = ["block" if k == m - pivots.index(n - 1 - w) - 1 else "rows" for k, w in calls]
+    return rows, pivots, kinds
+
+
+@pytest.mark.parametrize("p", (2, 101, DEFAULT_PRIME))
+def test_large_path_takes_both_updates_on_one_matrix(monkeypatch, p):
+    # Ten dense rows over two sparse ones, 12x16.  The dense rows span
+    # b0, b1, b2 (unit entries at columns 0, 1, 2, zero at 3), with row i a
+    # nonzero multiple of b0 + b1 + b2 from row 2 on: the first three pivots
+    # find 9 of 11, 8 of 10 and 7 of 9 rows below them nonzero, each at
+    # least 3/4, and leave the dense rows zero.  Column 3 is then zero and
+    # dropped, and the pivot of column 4 is the first sparse row, seven rows
+    # down, so it is swapped up; the other sparse row alone is updated.
+    rng = np.random.default_rng(30)
+    b = rng.integers(0, p, size=(3, 16))
+    b[:, :4] = np.eye(3, 4, dtype=np.int64)
+    dense = [b[0], b[0] + b[1]] + [pow(3, i, p) * (b.sum(axis=0) % p) for i in range(2, 10)]
+    sparse = rng.integers(0, p, size=(2, 16)) * (rng.random((2, 16)) < 0.5)
+    sparse[:, :4] = 0
+    sparse[:, 4] = 1
+    arr = np.vstack(dense + [sparse]) % p
+    rows, pivots, kinds = update_kinds(monkeypatch, arr, p)
+    small_rows, small_pivots = _echelon_small(arr, p)
+    assert pivots == small_pivots and pivots[:4] == [0, 1, 2, 4]
+    assert np.array_equal(rows, small_rows)
+    assert kinds == ["block"] * 3 + ["rows"]
+    assert np.array_equal(rows[3], arr[10])
 
 
 def gauss_jordan_normal_form(ech, pivots, vectors, p):

@@ -16,6 +16,7 @@ from leflab.oracle import (
     PrimeTooSmallError,
     _ideal_matrix,
     _in_general_position,
+    _seeded_rng,
     hilbert_function,
     ideal_piece_dim,
     lefschetz_scan,
@@ -134,6 +135,27 @@ def test_block_draws_match_per_form_draws(data):
     spec = ExponentSpec(r, tuple(exps))
     rng = np.random.default_rng([seed, r, *spec.exponents])
     assert sample_ideal(spec, prime, seed).forms == reference_sample_forms(spec, prime, rng)
+
+
+def test_seeded_rng_draws_as_the_list_key_does(monkeypatch):
+    # Keys of 32-bit entries go to numpy as a uint32 array, others as the
+    # list; either way the draws are those of the list key.
+    keys = ([0, 3, 2, 4], [2**32 - 1, 0, 7], [5, 2**32, 1])
+    for key in keys:
+        expected = np.random.default_rng(key).integers(0, DEFAULT_PRIME, size=16)
+        assert np.array_equal(_seeded_rng(key).integers(0, DEFAULT_PRIME, size=16), expected)
+    seen = []
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda key: seen.append(key) or real_rng(key))
+    for key in keys:
+        _seeded_rng(key)
+    monkeypatch.undo()
+    assert [type(key) for key in seen] == [np.ndarray, np.ndarray, list]
+    assert all(key.dtype == np.uint32 for key in seen[:2])
+    assert [key.tolist() for key in seen[:2]] == [keys[0], keys[1]] and seen[2] == keys[2]
+    # A negative entry keeps the list form, and numpy's refusal.
+    with pytest.raises(ValueError):
+        _seeded_rng([-1, 3])
 
 
 _default_rng = np.random.default_rng
