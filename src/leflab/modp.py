@@ -5,9 +5,9 @@ ranks) reduces to the rank of a dense matrix over F_p.  The modulus defaults
 to the Mersenne prime 2^31 - 1 so that a product of two reduced entries fits
 comfortably in int64 and no multiprecision arithmetic is ever needed.
 
-`_echelon` is the one elimination kernel, and it has one mode: a plain row
-echelon form with unit pivots, which gives ranks (`matrix_rank`) and, taken
-pivot by pivot, normal forms (`row_echelon`, `reduce_rows`).  Matrices of
+`row_echelon(arr, p)` is the one elimination kernel, and it has one mode: a
+plain row echelon form with unit pivots, which gives ranks (`matrix_rank`)
+and, taken pivot by pivot, normal forms (`reduce_rows`).  Matrices of
 at most SMALL_CELLS cells (60) are eliminated on lists of Python ints,
 where numpy's per-call overhead would dominate; larger ones with numpy
 operations on the trailing block, the rows and columns not yet finished,
@@ -63,7 +63,12 @@ class PrimeField:
 
 
 class DenseMatrix:
-    """An immutable dense matrix over a prime field, entries row-major."""
+    """An immutable dense matrix over a prime field, entries row-major.
+
+    Only `matrix_rank` takes one (`linsys` wraps its conditions for it), and
+    only `polyring.mult_matrix` and `oracle.mult_matrix_on_quotient` return
+    one; `row_echelon` and `reduce_rows` work on plain arrays.
+    """
 
     __slots__ = ("field", "entries")
 
@@ -83,17 +88,13 @@ class DenseMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def __repr__(self) -> str:
-        return f"DenseMatrix({self.rows}x{self.cols} mod {self.field.modulus})"
-
     @classmethod
     def from_reduced(cls, field: PrimeField, arr: np.ndarray) -> "DenseMatrix":
         """A matrix on `arr` as it is, without copying or reducing it again.
 
         `arr` must be a 2-D int64 array with entries in [0, p), such as the
-        output of `polyring.mult_matrix`, slices of it, or an echelon form;
-        it is made read-only.  Use `DenseMatrix(...)` for
-        entries from anywhere else.
+        output of `polyring.mult_matrix` or slices of it; it is made
+        read-only.  Use `DenseMatrix(...)` for entries from anywhere else.
         """
         arr.flags.writeable = False
         m = cls.__new__(cls)
@@ -102,7 +103,7 @@ class DenseMatrix:
         return m
 
 
-# The crossover of the two `_echelon` paths, timed on one core of a 2-vCPU
+# The crossover of the two `row_echelon` paths, timed on one core of a 2-vCPU
 # x86-64 host (Python 3.11, numpy 2.4, p = DEFAULT_PRIME), with the numpy
 # path on the trailing block, in two timing rounds; the host ran about 40%
 # faster in the second.  On dense random full-rank matrices, best of 5
@@ -127,7 +128,7 @@ def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _echelon_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`_echelon` on lists of Python ints: no per-operation numpy dispatch."""
+    """`row_echelon` on lists of Python ints: no per-operation numpy dispatch."""
     a = arr.tolist()
     m, n = arr.shape
     pivots: list[int] = []
@@ -154,7 +155,7 @@ def _echelon_small(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`_echelon` with numpy operations on the trailing block, one pivot at a time.
+    """`row_echelon` with numpy operations on the trailing block, one pivot at a time.
 
     `t` is the block below the finished rows and right of the last pivot:
     each pivot takes one row and one column off it, a zero column only its
@@ -199,47 +200,36 @@ def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[:len(pivots)], pivots
 
 
-def _echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of `arr` (entries in [0, p)) with unit pivots, and its pivots.
+def row_echelon(arr: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row echelon form of `arr` (entries in [0, p)) with unit pivots, and its pivot columns.
 
-    Gaussian elimination on a copy; the pivot of each column is the first
-    nonzero entry at or below the current row, so both paths return the same
-    rows.  Empty shapes give no rows and no pivots.
+    Gaussian elimination on a copy, one row per pivot, pivots increasing;
+    its row space is that of `arr`.  The pivot of each column is the first
+    nonzero entry at or below the current row, so both paths return the
+    same rows.  Empty shapes give no rows and no pivots.  Each row is zero
+    left of its pivot, so `reduce_rows`, taking pivots in increasing order,
+    never refills a cleared pivot column: one multiple per pivot gives the
+    normal form that is zero at every pivot, and that form is unique.
     """
-    if arr.size <= SMALL_CELLS:
-        return _echelon_small(arr, p)
-    return _echelon_large(arr, p)
+    ech, pivots = (_echelon_small if arr.size <= SMALL_CELLS else _echelon_large)(arr, p)
+    return ech, tuple(pivots)
 
 
 def matrix_rank(m: DenseMatrix) -> int:
     """Rank over the prime field; deterministic, empty matrices allowed."""
-    return len(_echelon(m.entries, m.field.modulus)[1])
+    return len(row_echelon(m.entries, m.field.modulus)[1])
 
 
-def row_echelon(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
-    """Row echelon form with unit pivots, plus the pivot columns in increasing order.
-
-    The returned matrix has one row per pivot; its row space equals the row
-    space of the input.  Each row is zero left of its pivot, so reduce_rows
-    below, taking pivots in increasing order, never refills a cleared pivot
-    column: one multiple per pivot gives the normal form that is zero at
-    every pivot, and that form is unique.
-    """
-    ech, pivots = _echelon(m.entries, m.field.modulus)
-    return DenseMatrix.from_reduced(m.field, ech), tuple(pivots)
-
-
-def reduce_rows(vectors: np.ndarray, echelon: DenseMatrix, pivots: Sequence[int]) -> np.ndarray:
-    """Normal form of each row of `vectors` modulo the echelon row space."""
-    p = echelon.field.modulus
+def reduce_rows(vectors: np.ndarray, echelon: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
+    """Normal form mod p of each row of `vectors` modulo the row space of `echelon`."""
     out = np.array(vectors, dtype=np.int64) % p
-    if out.ndim != 2 or out.shape[1] != echelon.cols:
+    if out.ndim != 2 or out.shape[1] != echelon.shape[1]:
         raise ValueError("vector width does not match echelon width")
     for k, c in enumerate(pivots):
         coeff = out[:, c]
         nz = np.nonzero(coeff)[0]
         if nz.size:
-            out[nz, :] = reduce_mod(out[nz, :] - coeff[nz, None] * echelon.entries[k], p)
+            out[nz, :] = reduce_mod(out[nz, :] - coeff[nz, None] * echelon[k], p)
     return out
 
 

@@ -36,7 +36,9 @@ The standard-monomial route (`standard_monomials`, `mult_matrix_on_quotient`)
 stays in the full ring as a check: `mult_matrix` with no caps, the complete
 intersection with every variable free.  It shares the index map with the
 frame route, and the tests check that map against a product of monomial
-dicts; it shares no frame, exchange step or rank-by-difference.
+dicts; it shares no frame, exchange step or rank-by-difference.  It hands
+plain arrays to `row_echelon` and `reduce_rows`; only the induced matrix it
+returns is a `DenseMatrix`.
 The frame alone knows where a quotient ends: when it caps every variable,
 the ideal is all of R_j past the socle degree sum(caps) - r, where
 `ideal_piece_dim` builds nothing; a free variable means a non-artinian one.
@@ -340,7 +342,9 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     of R_j past the socle degree sum(caps) - r, and so is the ideal: no
     basis or matrix is built there.  Like the bases, this trusts the caps; a
     frame whose caps were not powers in the ideal would overstate the piece,
-    never understate it.
+    never understate it.  Both shortcuts hold in every characteristic, but
+    a block in a degree j >= p raises PrimeTooSmallError: p is past every
+    cap, so L^p = sum c_i^p y_i^p lies in J and ranks there fall short.
     """
     if j < 0:
         return 0
@@ -352,6 +356,8 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     factors = [(_gen_coords(field, form, a), a) for form, a in frame.rest if a <= j]
     if not factors:
         return graded_dim(r, j) - len(ci_basis(caps, j))
+    if j >= field.modulus:
+        raise PrimeTooSmallError(f"prime {field.modulus} too small for degree {j}; need > {j}")
     block = mult_matrix(field, r, factors, j, caps)
     return graded_dim(r, j) - block.rows + matrix_rank(block)
 
@@ -446,15 +452,15 @@ def lefschetz_scan(
     return [DegreeFailure(rep.j, rep.deficiency) for rep in reports if rep.deficiency > 0]
 
 
-def standard_monomials(sample: IdealSample, j: int) -> tuple[DenseMatrix, tuple[int, ...], tuple[int, ...]]:
-    """Echelon basis of the degree-j ideal piece plus pivot/standard positions.
+def standard_monomials(sample: IdealSample, j: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Echelon basis of the degree-j ideal piece, as an array, plus pivot/standard positions.
 
     The non-pivot monomial positions index a vector-space basis of the
     degree-j piece of the quotient.
     """
-    ech, pivots = row_echelon(DenseMatrix.from_reduced(sample.field, _ideal_matrix(sample, j).T))
+    ech, pivots = row_echelon(_ideal_matrix(sample, j).T, sample.field.modulus)
     chosen = set(pivots)
-    std = tuple(c for c in range(ech.cols) if c not in chosen)
+    std = tuple(c for c in range(ech.shape[1]) if c not in chosen)
     return ech, pivots, std
 
 
@@ -472,5 +478,5 @@ def mult_matrix_on_quotient(
     ech, pivots, std_cod = standard_monomials(sample, j)
     big = mult_matrix(field, r, [(_gen_coords(field, form, k), k)], j).entries
     # An empty index list gives an empty int64 block of the right shape.
-    reduced = reduce_rows(big[:, list(std_dom)].T, ech, pivots)
+    reduced = reduce_rows(big[:, list(std_dom)].T, ech, pivots, field.modulus)
     return DenseMatrix.from_reduced(field, reduced[:, list(std_cod)].T)

@@ -62,6 +62,20 @@ def test_rank_past_the_socle_builds_nothing(capsys, monkeypatch):
     assert out == '{"k":3,"j":3000,"dim_domain":0,"dim_codomain":0,"rank":0,"kernel":0,"cokernel":0,"maximal":true}\n'
 
 
+def test_rank_into_a_degree_at_or_past_the_prime_exits_two(capsys):
+    argv = ("rank", "--vars", "3", "--powers", "35,35,35", "--k", "95", "--degree", "97")
+    code, out, err = run_cli(capsys, *argv, "--prime", "97")
+    assert (code, out, err) == (2, "", "error: prime 97 too small for degree 97; need > 97\n")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == '{"k":95,"j":97,"dim_domain":6,"dim_codomain":21,"rank":6,"kernel":0,"cokernel":15,"maximal":true}\n'
+    # No block is built for two cubes in three variables, so 101 still answers.
+    argv = ("rank", "--vars", "3", "--powers", "3,3", "--k", "1", "--degree", "3000")
+    code, out, _ = run_cli(capsys, *argv, "--prime", "101")
+    assert code == 0
+    assert out == '{"k":1,"j":3000,"dim_domain":9,"dim_codomain":9,"rank":9,"kernel":0,"cokernel":0,"maximal":true}\n'
+
+
 def test_non_artinian_rank_at_a_huge_degree_stays_in_the_complete_intersection(capsys, monkeypatch):
     # Two cubes in three variables leave a free variable, so the quotient
     # never ends, but its pieces are the 9 monomials outside (x^3, y^3): each

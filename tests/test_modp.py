@@ -84,8 +84,8 @@ def test_rank_empty_shapes():
     for shape in ((0, 5), (5, 0), (0, 0), (0, 200), (200, 0)):
         m = DenseMatrix(f, np.zeros(shape, dtype=np.int64))
         assert matrix_rank(m) == 0
-        ech, pivots = row_echelon(m)
-        assert ech.entries.shape == (0, shape[1]) and pivots == ()
+        ech, pivots = row_echelon(m.entries, f.modulus)
+        assert ech.shape == (0, shape[1]) and pivots == ()
 
 
 def test_entries_reduced_and_immutable():
@@ -135,17 +135,23 @@ def test_rank_of_stack_at_least_each_part():
 
 
 def test_row_echelon_reduction_normal_form():
-    f = PrimeField(101)
-    m = DenseMatrix(f, [[1, 2, 0, 4], [0, 0, 1, 1], [1, 2, 1, 5]])
-    ech, pivots = row_echelon(m)
+    p = 101
+    ech, pivots = row_echelon(np.array([[1, 2, 0, 4], [0, 0, 1, 1], [1, 2, 1, 5]]), p)
     assert pivots == (0, 2)
     # Rows of the span reduce to zero; independent vectors do not.
-    inside = reduce_rows(np.array([[2, 4, 3, 11]]), ech, pivots)
+    inside = reduce_rows(np.array([[2, 4, 3, 11]]), ech, pivots, p)
     assert not inside.any()
-    outside = reduce_rows(np.array([[0, 1, 0, 0]]), ech, pivots)
+    outside = reduce_rows(np.array([[0, 1, 0, 0]]), ech, pivots, p)
     assert outside.any()
     # Pivot coordinates are cleared in every normal form.
     assert outside[0, 0] == 0 and outside[0, 2] == 0
+
+
+def test_reduce_rows_refuses_vectors_of_another_width():
+    ech, pivots = row_echelon(np.array([[1, 2, 0, 4], [0, 0, 1, 1]]), 101)
+    for shape in ((1, 3), (1, 5), (4,)):
+        with pytest.raises(ValueError, match="vector width does not match echelon width"):
+            reduce_rows(np.zeros(shape, dtype=np.int64), ech, pivots, 101)
 
 
 @st.composite
@@ -218,9 +224,9 @@ def test_small_and_large_paths_agree(params):
         assert small_rows[k, c] == 1
         assert not small_rows[k, :c].any()
         assert not small_rows[k + 1:, c].any()
-    ech, ech_pivots = row_echelon(m)
+    ech, ech_pivots = row_echelon(m.entries, p)
     assert ech_pivots == tuple(pivots)
-    assert np.array_equal(ech.entries, small_rows)
+    assert np.array_equal(ech, small_rows)
     assert matrix_rank(m) == len(pivots)
 
 
@@ -267,7 +273,7 @@ def test_large_path_takes_both_updates_on_one_matrix(monkeypatch, p):
 
 def gauss_jordan_normal_form(ech, pivots, vectors, p):
     """Reference normal forms: reduce the echelon fully, then one multiple per pivot."""
-    rref = ech.entries.tolist()
+    rref = ech.tolist()
     for k in reversed(range(len(pivots))):
         for i in range(k):
             f = rref[i][pivots[k]]
@@ -287,12 +293,12 @@ def gauss_jordan_normal_form(ech, pivots, vectors, p):
 def test_normal_forms_match_gauss_jordan(params):
     m, rng = build_matrix(*params)
     p = m.field.modulus
-    ech, pivots = row_echelon(m)
+    ech, pivots = row_echelon(m.entries, p)
     # Vectors inside the row space and outside it, some with zero entries.
     inside = rng.integers(0, min(p, 4), size=(3, m.rows)) @ m.entries % p
     outside = rng.integers(0, p, size=(3, m.cols)) * (rng.random((3, m.cols)) < 0.5)
     vectors = np.vstack([inside, outside])
-    normal = reduce_rows(vectors, ech, pivots)
+    normal = reduce_rows(vectors, ech, pivots, p)
     assert np.array_equal(normal, gauss_jordan_normal_form(ech, pivots, vectors, p))
     assert not normal[:3].any()
     assert not normal[:, list(pivots)].any()

@@ -178,7 +178,7 @@ class ZeroingGenerator:
 
 
 @pytest.mark.parametrize("zeros", [range(0, 3), range(3, 6), range(3, 9), range(9, 12)])
-def test_zero_row_in_block_falls_back_to_per_form_draws(monkeypatch, zeros):
+def test_zero_row_redraws_the_whole_attempt(monkeypatch, zeros):
     # Zero the first form, the second, the second and third, or the last: the
     # whole first attempt is drawn again, so the forms are the second block.
     spec, seed = ExponentSpec(3, (2, 3, 3, 4)), 5
@@ -193,6 +193,23 @@ def test_zero_row_in_block_falls_back_to_per_form_draws(monkeypatch, zeros):
 def test_sampling_rejects_small_prime():
     with pytest.raises(PrimeTooSmallError):
         sample_ideal(ExponentSpec(3, (3, 3, 3)), prime=31)
+
+
+def test_blocks_from_the_prime_on_are_refused():
+    # 97 passes sample_ideal's bound for three 35th powers, but in
+    # characteristic 97 the block of L^95 into degree 97 has rank 5, not 6.
+    spec = ExponentSpec(3, (35, 35, 35))
+    small = sample_ideal(spec, prime=97)
+    with pytest.raises(PrimeTooSmallError, match="prime 97 too small for degree 97"):
+        mult_rank_report(small, 95, 97)
+    report = mult_rank_report(sample_ideal(spec), 95, 97)
+    assert (report.dim_domain, report.dim_codomain, report.rank) == (6, 21, 6)
+    # The frame's shortcuts build no block, so they still answer: three
+    # powers and no remaining one, up to and past the socle degree 102.
+    assert [quotient_dim(small, j) for j in (96, 97, 102, 103)] == [
+        quotient_dim(sample_ideal(spec), j) for j in (96, 97, 102, 103)
+    ]
+    assert quotient_dim(small, 103) == 0
 
 
 def test_coordinate_system_sample_is_independent():
