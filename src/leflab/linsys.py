@@ -155,7 +155,7 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> in
     shared = choose[a, u] * choose[b, v] % p
     block = shared * xpow[:, np.maximum(a - u, 0)] % p * ypow[:, np.maximum(b - v, 0)] % p
     rows = block[(u + v).T < np.array(rest)[:, None]]
-    return killed + matrix_rank(DenseMatrix.from_reduced(field, rows))
+    return killed + matrix_rank(DenseMatrix(field, rows))
 
 
 def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:

@@ -65,6 +65,11 @@ class PrimeField:
 class DenseMatrix:
     """An immutable dense matrix over a prime field, entries row-major.
 
+    There is one constructor: `entries` must already lie in [0, p), as
+    `row_echelon(arr, p)` requires; they are not reduced.  An int64 array is
+    kept without a copy and made read-only.  Raises ValueError unless the
+    entries are two-dimensional.
+
     Only `matrix_rank` takes one (`linsys` wraps its conditions for it), and
     only `polyring.mult_matrix` and `oracle.mult_matrix_on_quotient` return
     one; `row_echelon` and `reduce_rows` work on plain arrays.
@@ -73,7 +78,7 @@ class DenseMatrix:
     __slots__ = ("field", "entries")
 
     def __init__(self, field: PrimeField, entries: np.ndarray | Sequence[Sequence[int]]):
-        arr = np.ascontiguousarray(np.asarray(entries, dtype=np.int64) % field.modulus)
+        arr = np.asarray(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("entries must be two-dimensional")
         arr.flags.writeable = False
@@ -87,20 +92,6 @@ class DenseMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    @classmethod
-    def from_reduced(cls, field: PrimeField, arr: np.ndarray) -> "DenseMatrix":
-        """A matrix on `arr` as it is, without copying or reducing it again.
-
-        `arr` must be a 2-D int64 array with entries in [0, p), such as the
-        output of `polyring.mult_matrix` or slices of it; it is made
-        read-only.  Use `DenseMatrix(...)` for entries from anywhere else.
-        """
-        arr.flags.writeable = False
-        m = cls.__new__(cls)
-        m.field = field
-        m.entries = arr
-        return m
 
 
 # The crossover of the two `row_echelon` paths, timed on one core of a 2-vCPU

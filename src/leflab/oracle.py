@@ -19,9 +19,7 @@ A form L with coordinates l in a frame and power k replaces the variable y_m
 with l_m != 0 and the largest cap (a free one counts as largest) when k is
 below its cap, through the elementary change sending l to e_m, and the
 displaced power y_m^cap joins the remaining powers; otherwise L^k itself
-joins them.  The variables then take one order, caps ascending and free
-ones last, so frames with equal caps share the complete intersection's
-cached bases.
+joins them.  The variables keep the order the exchange steps leave.
 A trial form is one more generator: the cokernel of multiplication by L^k on
 R/I is R/(I, L^k), so `rank_with_form` is a difference of two
 `ideal_piece_dim` values, of the sample and of the sample with L^k adjoined,
@@ -115,6 +113,8 @@ class IdealSample:
     Unless given, it takes one `_exchange` step per form from the identity in
     exponent order, so a form independent of the earlier ones replaces a free
     variable, and a dependent one never displaces a cap and joins `rest`.
+    Deriving it raises ValueError unless there is one form per exponent, each
+    with one coefficient per variable; `adjoin_form` checks its one new form.
     The hash is computed once: samples key `ideal_piece_dim` in every degree.
     """
 
@@ -128,6 +128,8 @@ class IdealSample:
         object.__setattr__(self, "_hash", hash((self.spec, self.forms, self.field, self.seed)))
         if self.frame is None:
             r, p = self.spec.num_vars, self.field.modulus
+            if len(self.forms) != self.spec.s or any(form.num_vars != r for form in self.forms):
+                raise ValueError(f"need {self.spec.s} forms in {r} variables")
             frame = CIFrame(tuple(tuple(int(i == m) for i in range(r)) for m in range(r)), (None,) * r, ())
             for form, a in zip(self.forms, self.spec.exponents):
                 frame = _exchange(frame, form, a, p)
@@ -138,6 +140,8 @@ class IdealSample:
 
     def adjoin_form(self, form: LinearFormRep, power: int) -> "IdealSample":
         """The sample with form**power adjoined, framed by one more (exact) exchange step."""
+        if form.num_vars != self.spec.num_vars:
+            raise ValueError(f"need a form in {self.spec.num_vars} variables")
         idx = bisect_right(self.spec.exponents, power)
         forms = self.forms[:idx] + (form,) + self.forms[idx:]
         frame = _exchange(self.frame, form, power, self.field.modulus)
@@ -289,26 +293,9 @@ def _exchange(frame: CIFrame, form: LinearFormRep, k: int, p: int) -> CIFrame:
     rest = tuple((LinearFormRep(exchanged(f.coeffs)), a) for f, a in frame.rest)
     if caps[m] is not None:
         rest += ((LinearFormRep(tuple(w)), caps[m]),)
-    # The same map on the columns of change: row i != m gains w_i times row m,
-    # and row m is scaled by inv.
-    row_m = frame.change[m]
-    change = [tuple([(a + y * b) % p for a, b in zip(row, row_m)]) for row, y in zip(frame.change, w)]
-    change[m] = tuple([b * inv % p for b in row_m])
-    return _in_cap_order(CIFrame(tuple(change), caps[:m] + (k,) + caps[m + 1 :], rest))
-
-
-def _in_cap_order(frame: CIFrame) -> CIFrame:
-    """The frame with its variables in one order: caps ascending, free ones last.
-
-    Frames with equal caps then share their complete intersection's cached
-    bases, whatever order the exchange steps left them in.
-    """
-    caps = frame.caps
-    order = sorted(range(len(caps)), key=lambda i: (caps[i] is None, caps[i] or 0))
-    if order == list(range(len(caps))):
-        return frame
-    rest = tuple((LinearFormRep(tuple(form.coeffs[i] for i in order)), a) for form, a in frame.rest)
-    return CIFrame(tuple(frame.change[i] for i in order), tuple(caps[i] for i in order), rest)
+    # Column i of change is x_i in the frame's coordinates, so it takes the same map.
+    change = tuple(zip(*map(exchanged, zip(*frame.change))))
+    return CIFrame(change, caps[:m] + (k,) + caps[m + 1 :], rest)
 
 
 def _in_general_position(sample: IdealSample) -> bool:
@@ -479,4 +466,4 @@ def mult_matrix_on_quotient(
     big = mult_matrix(field, r, [(_gen_coords(field, form, k), k)], j).entries
     # An empty index list gives an empty int64 block of the right shape.
     reduced = reduce_rows(big[:, list(std_dom)].T, ech, pivots, field.modulus)
-    return DenseMatrix.from_reduced(field, reduced[:, list(std_cod)].T)
+    return DenseMatrix(field, reduced[:, list(std_cod)].T)

@@ -45,19 +45,21 @@ def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
     return ci_basis((None,) * num_vars, degree)
 
 
-# Unbounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 1,321
-# entries, 937 for whole caps tuples and the rest for their suffixes (25
-# full-ring bases among them); a cold pass of the wlp4 benchmark leaves 381.
+# Unbounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 1,644
+# entries, 1,211 for whole caps tuples and the rest for their suffixes (25
+# full-ring bases among them); a cold pass of the wlp4 benchmark leaves 388.
 @lru_cache(maxsize=None)
 def ci_basis(caps: tuple[int | None, ...], degree: int) -> np.ndarray:
     """Exponents of the degree-`degree` monomials outside (x_m^caps[m]), read-only.
 
     There is one cap per variable; a cap of None leaves its variable free.
     The rows are those of `monomial_basis` that stay, in its order, listed
-    under the caps without the full basis.
+    under the caps without the full basis; with none, a (0, len(caps)) array.
     """
     top = degree if caps[0] is None else min(degree, caps[0] - 1)
-    if len(caps) == 1:
+    if top < 0:
+        exps = np.zeros((0, len(caps)), dtype=np.int64)
+    elif len(caps) == 1:
         exps = np.array([[degree]] if top == degree else [], dtype=np.int64).reshape(-1, 1)
     else:
         blocks = []
@@ -88,12 +90,13 @@ def _key_weights(num_vars: int, target_degree: int) -> np.ndarray:
     return base ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
 
 
-# Bounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 614
-# entries (about 1 MB) and `verify --k 1 --a-max 8` 702, none of them for the
+# Bounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 749
+# entries (about 1 MB) and `verify --k 1 --a-max 8` 723, none of them for the
 # full ring; a cold pass of the wlp4 benchmark leaves 82 (0.7 MB), 18 of them
 # full-ring maps of the standard-monomial route; the six-variable scan of
 # (5,)*7 leaves 20 of 16 MB at a 94 MB peak.  The bound keeps every sweep
-# whole and stops a long run over many shapes from growing unchecked.
+# whole (the CI's largest, the four-variable WLP sweep, leaves 818) and
+# stops a long run over many shapes from growing unchecked.
 @lru_cache(maxsize=1024)
 def _ci_index_map(
     caps: tuple[int | None, ...], f_degree: int, target_degree: int
@@ -174,15 +177,14 @@ def mult_matrix(
     the monomials outside J = (x_m^caps[m]) for `caps` (one per variable,
     None for a free one), and products in J are dropped: the map between
     graded pieces of R/J, built from the terms of each f_i outside J.  No
-    caps leaves every variable free, so J = 0 and the pieces are R's.
+    caps leaves every variable free, so J = 0 and the pieces are R's.  A
+    factor of degree above target_degree has a block with no columns.
     Raises ValueError on caps or coordinates of the wrong length.
     """
     if caps is None:
         caps = (None,) * num_vars
     if len(caps) != num_vars:
         raise ValueError(f"{len(caps)} caps for {num_vars} variables")
-    if any(f_degree > target_degree for _, f_degree in factors):
-        raise ValueError("target degree below the degree of a factor")
     widths = [len(ci_basis(caps, target_degree - f_degree)) for _, f_degree in factors]
     out = np.zeros((len(ci_basis(caps, target_degree)), sum(widths)), dtype=np.int64)
     offset = 0
@@ -194,4 +196,4 @@ def mult_matrix(
         rows, cols, terms = _ci_index_map(caps, f_degree, target_degree)
         out[rows, cols + offset] = coeffs[terms]
         offset += width
-    return DenseMatrix.from_reduced(field_, out)
+    return DenseMatrix(field_, out)

@@ -327,6 +327,40 @@ def test_pieces_past_the_socle_build_nothing(sample):
             assert quotient_dim(sample, j) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(capped_samples(), st.data())
+def test_piece_dims_do_not_depend_on_the_frames_variable_order(sample, data):
+    # The frame with its variables permuted (the rows of change, and the
+    # coordinates of caps and rest, all together) frames the same ideal.
+    frame = sample.frame
+    order = data.draw(st.permutations(range(len(frame.caps))), label="order")
+    permuted = oracle.CIFrame(
+        tuple(frame.change[i] for i in order),
+        tuple(frame.caps[i] for i in order),
+        tuple((LinearFormRep(tuple(form.coeffs[i] for i in order)), a) for form, a in frame.rest),
+    )
+    # Another seed: ideal_piece_dim keys on the sample, not on its frame.
+    other = IdealSample(sample.spec, sample.forms, sample.field, sample.seed + 1000, frame=permuted)
+    for j in range(regularity(sample) + 2):
+        assert ideal_piece_dim(other, j) == ideal_piece_dim(sample, j), (sample.spec, order, j)
+
+
+def test_forms_must_match_the_spec():
+    # One form per exponent, each with one coefficient per variable; an
+    # adjoined form too.  Nothing is truncated.
+    spec, field = ExponentSpec(3, (2, 2, 2)), PrimeField()
+    forms = tuple(LinearFormRep(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError):
+        IdealSample(spec, forms[:2], field, seed=0)
+    with pytest.raises(ValueError):
+        IdealSample(spec, tuple(LinearFormRep(f.coeffs[:2]) for f in forms), field, seed=0)
+    sample = IdealSample(spec, forms, field, seed=0)
+    with pytest.raises(ValueError):
+        rank_with_form(sample, LinearFormRep((1, 2)), 1, 2)
+    # x + 2y sends x, y and z to 2xy, xy and xz + 2yz modulo the squares.
+    assert rank_with_form(sample, LinearFormRep((1, 2, 0)), 1, 2) == 2
+
+
 def test_two_seeds_agree_on_dimensions():
     spec = ExponentSpec(3, (2, 3, 3, 4))
     a = sample_ideal(spec, seed=1)
@@ -376,7 +410,8 @@ def test_rank_identity_two_routes_agree():
         k = int(rng.integers(1, 4))
         gen = np.random.default_rng(100 + i)
         form = random_form(sample.field, 3, gen)
-        for j in range(k, min(reg + 1, k + 4)):
+        # Below k the domain is 0: the induced matrix has no columns.
+        for j in range(k - 2, min(reg + 1, k + 4)):
             drop = rank_with_form(sample, form, k, j)
             induced = mult_matrix_on_quotient(sample, form, k, j)
             assert induced.rows == quotient_dim(sample, j)
@@ -830,9 +865,10 @@ def test_adjoined_sample_takes_one_exchange_step(monkeypatch):
     form = random_form(sample.field, 3, np.random.default_rng(3))
     adjoined = sample.adjoin_form(form, 2)
     assert calls == [(sample.frame, form, 2, sample.field.modulus)]
-    # The step displaces the cap 4, and the variables are put back in cap
-    # order, so equal caps key the same complete-intersection bases.
-    assert adjoined.frame.caps == (2, 3, 3)
+    # The step displaces the cap 4; the variables keep the order the steps
+    # left them in.
+    assert sorted(adjoined.frame.caps) == [2, 3, 3]
+    assert sorted(sample.frame.caps) == [3, 3, 4] and adjoined.frame.rest[-1][1] == 4
     # The frame is derived data: not part of equality, hashing or repr.
     assert adjoined == IdealSample(adjoined.spec, adjoined.forms, adjoined.field, adjoined.seed)
     assert "frame" not in repr(adjoined)
@@ -958,7 +994,7 @@ def test_frames_eliminate_nothing(monkeypatch):
 def reference_exchange(frame, form, k, p):
     """One exchange step as first written, on (change, caps, rest) triples.
 
-    Shares no code with `oracle._exchange`; the variables end in cap order.
+    Shares no code with `oracle._exchange`.
     """
     change, caps, rest = frame
     ell = [sum(c * x for c, x in zip(row, form.coeffs)) % p for row in change]
@@ -977,10 +1013,7 @@ def reference_exchange(frame, form, k, p):
     if caps[m] is not None:
         rest += ((LinearFormRep(exchanged(tuple(int(i == m) for i in range(len(ell))))), caps[m]),)
     change = tuple(zip(*(exchanged(col) for col in zip(*change))))
-    caps = caps[:m] + (k,) + caps[m + 1:]
-    order = sorted(range(len(caps)), key=lambda i: (caps[i] is None, caps[i] or 0))
-    rest = tuple((LinearFormRep(tuple(f.coeffs[i] for i in order)), a) for f, a in rest)
-    return tuple(change[i] for i in order), tuple(caps[i] for i in order), rest
+    return change, caps[:m] + (k,) + caps[m + 1:], rest
 
 
 @settings(max_examples=300, deadline=None)

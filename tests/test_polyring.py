@@ -2,7 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leflab.modp import PrimeField, matrix_rank
@@ -201,12 +201,23 @@ caps_lists = st.integers(2, 5).flatmap(
 
 
 @settings(max_examples=100, deadline=None)
-@given(caps_lists, st.integers(0, 10))
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.lists(st.one_of(st.none(), st.integers(-1, 6)), min_size=r, max_size=r).map(tuple)
+    ),
+    st.integers(-3, 10),
+)
+@example((None, None), -1)
+@example((0, None), 3)
+@example((3, 0, None), 2)
+@example((None,), -1)
 def test_ci_basis_is_the_monomials_outside_the_caps(caps, degree):
+    # A negative degree or a cap <= 0 leaves no monomial: an empty block.
     r = len(caps)
     got = ci_basis(caps, degree)
     assert got.shape[1] == r and not got.flags.writeable
-    assert got.tolist() == monomial_basis(r, degree)[kept_rows(r, caps, degree)].tolist()
+    expected = monomial_basis(r, degree)[kept_rows(r, caps, degree)].tolist() if degree >= 0 else []
+    assert got.tolist() == expected
 
 
 @settings(max_examples=150, deadline=None)
