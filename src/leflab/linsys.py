@@ -139,7 +139,7 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> in
         alive &= e <= d - mult
     rest = [min(mult, d + 1) for mult in sys.mults[3:]]
     killed = len(alive) - int(alive.sum())
-    if not rest or not alive.any():
+    if not rest:
         return killed
     a, b, _ = exps[:, alive]
     # (u, v) over u + v < max m: the first two exponents of the degree

@@ -209,12 +209,20 @@ def random_form(field: PrimeField, num_vars: int, rng: np.random.Generator) -> L
             return LinearFormRep(tuple(coeffs))
 
 
+# Draws per sample: at most 6 were needed at p = 101 (three variables,
+# s = 4-6, exponents 2-8, seeds 0-2), and 1 at the default prime.  A prime
+# that passes the bound below can still make general position rare: twenty
+# forms in three variables at p = 67 find none in this many draws.
+SAMPLE_DRAWS = 1000
+
+
 def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) -> IdealSample:
     """Draw forms for `spec`, seeded by `seed` and the spec, until any min(r, s) are independent.
 
     Each attempt draws its s forms as one (s, r) block.  An attempt with a
     zero row is drawn again whole, like one whose forms are not in general
     position: both are special draws, and there is one retry rule for them.
+    After SAMPLE_DRAWS attempts it raises PrimeTooSmallError.
     """
     field = PrimeField(prime)
     bound = 2 * (max(spec.exponents) + spec.s + 10)
@@ -222,32 +230,24 @@ def sample_ideal(spec: ExponentSpec, prime: int = DEFAULT_PRIME, seed: int = 0) 
         raise PrimeTooSmallError(f"prime {prime} too small; need > {bound}")
     r = spec.num_vars
     rng = _seeded_rng([seed, r, *spec.exponents])
-    while True:
+    for _ in range(SAMPLE_DRAWS):
         rows = rng.integers(0, prime, size=(spec.s, r)).tolist()
         if not all(map(any, rows)):
             continue
         sample = IdealSample(spec, tuple(LinearFormRep(tuple(row)) for row in rows), field, seed)
         if _in_general_position(sample):
             return sample
-
-
-# Bounded: a frame's remaining forms recur in every degree, and a trial form
-# adjoined again gives equal ones.  A cold scan needs s - r + 1 live keys, and
-# at most trials * (s - r + 1) when two degrees are short: 8 as measured for
-# (18,)*10 in 3 variables (k = 3) and (7,)*5 in 4 (k = 1), 5 trials each; a
-# 32x margin.  `verify --a-max 8` fills it: 6,540 misses, 7,127 hits.
-@lru_cache(maxsize=256)
-def _gen_coords(field: PrimeField, form: LinearFormRep, power: int) -> np.ndarray:
-    vec = power_coords(field, form, power)
-    vec.flags.writeable = False
-    return vec
+    raise PrimeTooSmallError(
+        f"prime {prime} too small: {SAMPLE_DRAWS} draws of {spec.s} forms in {r} variables"
+        " found none in general position"
+    )
 
 
 def _ideal_matrix(sample: IdealSample, j: int) -> np.ndarray:
     """Columns spanning the degree-j piece of the ideal, in monomial coordinates."""
     field = sample.field
     gens = zip(sample.spec.exponents, sample.forms)
-    factors = [(_gen_coords(field, form, a), a) for a, form in gens if a <= j]
+    factors = [(power_coords(field, form, a), a) for a, form in gens if a <= j]
     return mult_matrix(field, sample.spec.num_vars, factors, j).entries
 
 
@@ -304,13 +304,13 @@ def _in_general_position(sample: IdealSample) -> bool:
     When the frame chose the first r forms, they are its variables, so up
     to the order of rows the forms in new coordinates are [I_r | B] with B
     the coordinates of `rest`, and any r forms are independent exactly when
-    every square minor of B is nonzero.  When it did not, one of the first r
+    every square minor of B is nonzero.  The rows of `rest` form B's
+    transpose, which has the same minors.  When it did not, one of the first r
     forms depends on the fewer than r forms chosen before it, which stay
     variables; it is in `rest` with a zero coordinate, so a 1x1 minor fails.
     With s < r independent forms `rest` is empty, which passes.
     """
-    block = [list(col) for col in zip(*(form.coeffs for form, _ in sample.frame.rest))]
-    return all_minors_nonzero(block, sample.field.modulus)
+    return all_minors_nonzero([form.coeffs for form, _ in sample.frame.rest], sample.field.modulus)
 
 
 # Bounded: a cold scan rereads the sample's pieces at its short degrees, so it
@@ -333,14 +333,12 @@ def ideal_piece_dim(sample: IdealSample, j: int) -> int:
     a block in a degree j >= p raises PrimeTooSmallError: p is past every
     cap, so L^p = sum c_i^p y_i^p lies in J and ranks there fall short.
     """
-    if j < 0:
-        return 0
     field, frame = sample.field, sample.frame
     caps = frame.caps
     r = len(caps)
     if None not in caps and j > sum(caps) - r:
         return graded_dim(r, j)
-    factors = [(_gen_coords(field, form, a), a) for form, a in frame.rest if a <= j]
+    factors = [(power_coords(field, form, a), a) for form, a in frame.rest if a <= j]
     if not factors:
         return graded_dim(r, j) - len(ci_basis(caps, j))
     if j >= field.modulus:
@@ -429,8 +427,6 @@ def lefschetz_scan(
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1, trials >= 1")
     h = hilbert_function(sample)
-    if len(h) <= k:
-        return []
     form = random_form(sample.field, sample.spec.num_vars, _trial_rng(sample, k))
     first = sample.adjoin_form(form, k)
     g = takewhile(bool, (quotient_dim(first, j) for j in range(k, len(h))))
@@ -463,7 +459,7 @@ def mult_matrix_on_quotient(
     field, r = sample.field, sample.spec.num_vars
     _, _, std_dom = standard_monomials(sample, j - k)
     ech, pivots, std_cod = standard_monomials(sample, j)
-    big = mult_matrix(field, r, [(_gen_coords(field, form, k), k)], j).entries
+    big = mult_matrix(field, r, [(power_coords(field, form, k), k)], j).entries
     # An empty index list gives an empty int64 block of the right shape.
     reduced = reduce_rows(big[:, list(std_dom)].T, ech, pivots, field.modulus)
     return DenseMatrix(field, reduced[:, list(std_cod)].T)

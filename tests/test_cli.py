@@ -40,6 +40,18 @@ def test_linsys_output(capsys):
     assert doc["trace"][-1]["rule"] == "terminal"
 
 
+def test_linsys_trace_golden(capsys):
+    # Every step kind, with the `after` and `stripped` keys of the trace.
+    code, out, _ = run_cli(capsys, "linsys", "--degree", "6", "--mults", "4,3,2,1,1")
+    assert code == 0
+    assert out == (
+        '{"dim":7,"trace":[{"rule":"simple-points-split","before":"L2(6; 4,3,2,1,1)","after":"L2(6; 4,3,2)",'
+        '"stripped":2},{"rule":"bezout","before":"L2(6; 4,3,2)","after":"L2(5; 3,2,2)"},{"rule":"cremona",'
+        '"before":"L2(5; 3,2,2)","after":"L2(3; 1)"},{"rule":"terminal","before":"L2(3; 1)",'
+        '"reason":"standard-form","value":9}]}\n'
+    )
+
+
 def test_rank_output(capsys):
     code, out, _ = run_cli(capsys, "rank", "--powers", "3,3,3,3", "--k", "3", "--degree", "4")
     assert code == 0
@@ -102,6 +114,27 @@ def test_non_artinian_rank_at_a_huge_degree_stays_in_the_complete_intersection(c
     assert peak < 10 * 2**20
     assert code == 0
     assert out == '{"k":1,"j":3000,"dim_domain":9,"dim_codomain":9,"rank":9,"kernel":0,"cokernel":0,"maximal":true}\n'
+
+
+def test_non_artinian_rank_past_int64_exits_two(capsys):
+    argv = ("rank", "--vars", "3", "--powers", "3,3", "--k", "1", "--degree")
+    code, out, err = run_cli(capsys, *argv, str(2**63))
+    assert (code, out, err) == (2, "", f"error: degree {2**63} overflows the monomial exponents\n")
+    code, out, _ = run_cli(capsys, *argv, str(2**63 - 1))
+    assert code == 0
+    assert out == (
+        f'{{"k":1,"j":{2**63 - 1},"dim_domain":9,"dim_codomain":9,"rank":9,"kernel":0,"cokernel":0,"maximal":true}}\n'
+    )
+
+
+def test_sampling_that_finds_no_general_position_exits_two(capsys):
+    # 67 passes the bound 2 * (2 + 20 + 10) = 64, but twenty random points of
+    # the plane over F_67 are almost never in general position.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hilbert", "--vars", "3", "--powers", ",".join(["2"] * 20), "--prime", "67")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: prime 67 too small: 1000 draws of 20 forms in 3 variables found none in general position\n"
 
 
 def test_scan_output(capsys):

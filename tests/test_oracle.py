@@ -195,6 +195,28 @@ def test_sampling_rejects_small_prime():
         sample_ideal(ExponentSpec(3, (3, 3, 3)), prime=31)
 
 
+def test_sampling_gives_up_after_its_draw_budget():
+    # 107 passes the bound for forty squares, but forty random points of the
+    # plane over F_107 are almost never in general position.
+    with pytest.raises(PrimeTooSmallError, match="prime 107 too small: 1000 draws of 40 forms in 3 variables"):
+        sample_ideal(ExponentSpec(3, (2,) * 40), prime=107)
+
+
+def test_zero_row_draws_count_against_the_budget(monkeypatch):
+    draws = []
+
+    class ZeroRows:
+        def integers(self, low, high, size):
+            draws.append(size)
+            assert len(draws) <= oracle.SAMPLE_DRAWS
+            return np.zeros(size, dtype=np.int64)
+
+    monkeypatch.setattr(oracle, "_seeded_rng", lambda key: ZeroRows())
+    with pytest.raises(PrimeTooSmallError):
+        sample_ideal(ExponentSpec(3, (3, 3, 3)))
+    assert len(draws) == oracle.SAMPLE_DRAWS
+
+
 def test_blocks_from_the_prime_on_are_refused():
     # 97 passes sample_ideal's bound for three 35th powers, but in
     # characteristic 97 the block of L^95 into degree 97 has rank 5, not 6.
@@ -828,27 +850,19 @@ def test_sample_hash_is_cached_and_frame_free():
     assert adjoined == plain and hash(adjoined) == hash(plain)
 
 
-def test_cold_scan_power_coords_do_not_grow_with_degrees(monkeypatch):
+def test_cold_scan_power_coords_do_not_grow_with_degrees():
     # Each adjoined sample's frame serves every degree, so a scan computes
     # the powers of its forms once, however many degrees it covers.
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return power_coords(*args)
-
-    monkeypatch.setattr(oracle, "power_coords", counting)
     counts = []
     for exponents in ((3, 3, 3, 3), (6, 6, 6, 6)):
-        for cache in (oracle._gen_coords, ideal_piece_dim):
+        for cache in (power_coords, ideal_piece_dim):
             cache.cache_clear()
-        calls.clear()
         sample = sample_ideal(ExponentSpec(3, exponents), seed=5)
         lefschetz_scan(sample, 1, trials=1)
-        counts.append((regularity(sample), len(calls)))
-    (few, calls_few), (many, calls_many) = counts
+        counts.append((regularity(sample), power_coords.cache_info().misses))
+    (few, misses_few), (many, misses_many) = counts
     assert many > few
-    assert calls_many == calls_few
+    assert misses_many == misses_few
 
 
 def test_adjoined_sample_takes_one_exchange_step(monkeypatch):

@@ -118,6 +118,16 @@ def test_power_mod_small_prime_at_and_past_p():
     assert power_coords(f5, LinearFormRep((1, 1)), 6).tolist() == [1, 1, 0, 0, 0, 1, 1]
 
 
+def test_power_coords_are_cached_and_read_only():
+    form = LinearFormRep((3, 5, 7))
+    power_coords.cache_clear()
+    vec = power_coords(F, form, 4)
+    assert power_coords(F, form, 4) is vec
+    assert power_coords.cache_info()[:2] == (1, 1)
+    with pytest.raises(ValueError):
+        vec[0] = 0
+
+
 def test_mult_matrix_by_x_in_two_vars():
     coords = power_coords(F, LinearFormRep((1, 0)), 1)
     m = mult_matrix(F, 2, [(coords, 1)], 2)
