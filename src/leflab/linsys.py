@@ -6,7 +6,7 @@ Bezout splits off the line through the two heaviest points, Cremona
 transformations shift the three heaviest multiplicities, systems in standard
 form are non-special, and general double points follow the
 Alexander-Hirschowitz classification.  A matrix of Taylor-coefficient
-conditions over a prime field serves as the independent oracle.  It is
+conditions over a prime field, `_conditions_dim`, is the independent oracle,
 ranked at points drawn in one random block; a special draw, two coincident
 points say, only lowers the rank, and a second block covers it.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .modp import DEFAULT_PRIME, DenseMatrix, PrimeField, matrix_rank
 from .oracle import ExponentSpec, _seeded_rng
-from .polyring import monomial_basis
+from .polyring import ci_basis, monomial_basis
 
 
 class StepNotApplicable(ValueError):
@@ -112,8 +112,8 @@ def ah_double_dim(d: int, m: int) -> int:
     return max(0, binom(d + 2, 2) - 3 * m)
 
 
-def _conditions_rank(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> int:
-    """Rank of the conditions that the system's points impose on degree-d curves.
+def _conditions_dim(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> int:
+    """Dimension of the degree-d curves that satisfy the system's conditions at the points.
 
     A point (x, y, 1) of multiplicity m asks every coefficient of s^u t^v
     with u + v < m in f(x + s, y + t, 1) to vanish.  On the monomial
@@ -125,23 +125,21 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> in
     of residues mod p, in multiplicity order.  Any points are ranked as
     given: coincident rows, or a row (0, 0) on top of (0:0:1), are special
     configurations whose rank may drop.  A point of multiplicity m at
-    (0:0:1) asks each monomial x^a y^b z^c with a + b < m to vanish on its
-    own (likewise b + c < m at (1:0:0) and a + c < m at (0:1:0)).  These unit
-    rows kill a column set K, so the rank is |K| plus the rank of the other
-    points' rows outside K.  The index sets u + v < m are nested in m, so
-    those points share one block over u + v < max m, each point keeping
+    (1:0:0) kills x^a y^b z^c exactly when a > d - m, so x's cap is
+    d + 1 - m; likewise y and z.  The dimension is the number of columns,
+    the monomials outside those caps (`ci_basis`), less the rank of the
+    other points' rows on them.  The index sets u + v < m are nested in m,
+    so those points share one block over u + v < max m, each point keeping
     the rows below its own multiplicity.
     """
     d, p = sys.degree, field.modulus
-    exps = monomial_basis(3, d).T
-    alive = np.ones(exps.shape[1], dtype=bool)
-    for mult, e in zip(sys.mults[:3], exps):
-        alive &= e <= d - mult
-    rest = [min(mult, d + 1) for mult in sys.mults[3:]]
-    killed = len(alive) - int(alive.sum())
-    if not rest:
-        return killed
-    a, b, _ = exps[:, alive]
+    caps = tuple(d + 1 - mult for mult in sys.mults[:3]) + (None,) * (3 - sys.num_points)
+    cols = ci_basis(caps, d)
+    rest = sys.mults[3:]
+    # A rest multiplicity above d puts the heaviest above d too: no column.
+    if not rest or not len(cols):
+        return len(cols)
+    a, b, _ = cols.T
     # (u, v) over u + v < max m: the first two exponents of the degree
     # max m - 1 monomials in three variables.
     u, v, _ = (col[:, None] for col in monomial_basis(3, rest[0] - 1).T)
@@ -155,7 +153,7 @@ def _conditions_rank(sys: PlaneSystem, field: PrimeField, pts: np.ndarray) -> in
     shared = choose[a, u] * choose[b, v] % p
     block = shared * xpow[:, np.maximum(a - u, 0)] % p * ypow[:, np.maximum(b - v, 0)] % p
     rows = block[(u + v).T < np.array(rest)[:, None]]
-    return killed + matrix_rank(DenseMatrix(field, rows))
+    return len(cols) - matrix_rank(DenseMatrix(field, rows))
 
 
 def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
@@ -164,7 +162,7 @@ def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     Each point set puts its three heaviest points at the coordinate points,
     which PGL(3) may do since it moves any three non-collinear points there,
     and draws the other n - 3 in one block of random pairs over
-    F_DEFAULT_PRIME (`_conditions_rank`).  The conditions rank at special
+    F_DEFAULT_PRIME (`_conditions_dim`).  The conditions rank at special
     points, a coincident pair among them, only drops, so the generic
     dimension is the smaller value over two sets; the second is drawn only
     when the first misses the expected dimension.
@@ -177,10 +175,9 @@ def fatpoint_dim(sys: PlaneSystem, seed: int = 0) -> int:
     runs = [x for m, group in groupby(sys.mults) for x in (m, sum(1 for _ in group))]
     rng = _seeded_rng([seed, DEFAULT_PRIME, sys.degree, *runs, 0xFA7])
     size = (max(sys.num_points - 3, 0), 2)
-    n_mono = binom(sys.degree + 2, 2)
-    dim = n_mono - _conditions_rank(sys, field, rng.integers(0, DEFAULT_PRIME, size=size))
+    dim = _conditions_dim(sys, field, rng.integers(0, DEFAULT_PRIME, size=size))
     if dim != expected_dim(sys):
-        dim = min(dim, n_mono - _conditions_rank(sys, field, rng.integers(0, DEFAULT_PRIME, size=size)))
+        dim = min(dim, _conditions_dim(sys, field, rng.integers(0, DEFAULT_PRIME, size=size)))
     return dim
 
 

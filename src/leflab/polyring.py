@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, prod
 
 import numpy as np
@@ -65,11 +66,11 @@ def ci_basis(caps: tuple[int | None, ...], degree: int) -> np.ndarray:
     elif len(caps) == 1:
         exps = np.array([[degree]] if top == degree else [], dtype=np.int64).reshape(-1, 1)
     else:
-        blocks = []
-        for e in range(top, -1, -1):
-            rest = ci_basis(caps[1:], degree - e)
-            blocks.append(np.column_stack((np.full(len(rest), e, dtype=np.int64), rest)))
-        exps = np.vstack(blocks)
+        # `map`, not a comprehension: a comprehension is a frame of its own
+        # on Python 3.10 and 3.11, and the recursion keeps one per variable.
+        rests = list(map(ci_basis, repeat(caps[1:]), range(degree - top, degree + 1)))
+        leads = np.repeat(np.arange(top, -1, -1, dtype=np.int64), list(map(len, rests)))
+        exps = np.column_stack((leads, np.concatenate(rests)))
     exps.flags.writeable = False
     return exps
 

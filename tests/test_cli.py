@@ -127,6 +127,14 @@ def test_non_artinian_rank_past_int64_exits_two(capsys):
     )
 
 
+def test_rank_in_four_hundred_variables_recurses_once_per_variable(capsys):
+    # `ci_basis` takes one frame per variable: a second one per variable,
+    # a comprehension's on Python 3.10 and 3.11, passes the recursion limit.
+    code, out, _ = run_cli(capsys, "rank", "--vars", "400", "--powers", "2", "--k", "1", "--degree", "1")
+    assert code == 0
+    assert out == '{"k":1,"j":1,"dim_domain":1,"dim_codomain":400,"rank":1,"kernel":0,"cokernel":399,"maximal":true}\n'
+
+
 def test_sampling_that_finds_no_general_position_exits_two(capsys):
     # 67 passes the bound 2 * (2 + 20 + 10) = 64, but twenty random points of
     # the plane over F_67 are almost never in general position.

@@ -10,7 +10,7 @@ from leflab import linsys
 from leflab.linsys import (
     PlaneSystem,
     StepNotApplicable,
-    _conditions_rank,
+    _conditions_dim,
     ah_double_dim,
     bezout_step,
     binom,
@@ -126,7 +126,7 @@ def scalar_conditions_matrix(sys_, p, points):
 
     A point of multiplicity m gives the order-(m - 1) partial derivatives in
     x, y and z (m clamped at d + 1).  For p > d they span the same conditions
-    as the Taylor coefficients that `_conditions_rank` ranks.
+    as the Taylor coefficients that `_conditions_dim` ranks.
 
     The i-th point carries the i-th multiplicity; rows go point by point, in
     monomial order within a point.
@@ -159,7 +159,7 @@ COORDINATE_POINTS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def assert_rank_matches_scalar_reference(sys_, field, pts):
-    """`_conditions_rank` is the full rank at the coordinate points plus the given rest.
+    """C(d + 2, 2) less `_conditions_dim` is the full rank at the coordinate points plus the given rest.
 
     The three heaviest points sit at the coordinate points; the rest are the
     rows (x, y) of `pts`, at (x, y, 1).  Each coordinate-point row is a
@@ -167,7 +167,7 @@ def assert_rank_matches_scalar_reference(sys_, field, pts):
     columns of the monomials that vanish there to the multiplicity.
     """
     p, d = field.modulus, sys_.degree
-    rank = _conditions_rank(sys_, field, pts)
+    rank = binom(d + 2, 2) - _conditions_dim(sys_, field, pts)
     rows = scalar_conditions_matrix(sys_, p, COORDINATE_POINTS + [(x, y, 1) for x, y in pts.tolist()])
     assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
     exps = scalar_exponents(d)
@@ -204,7 +204,7 @@ def test_conditions_rank_matches_scalar_reference(prime):
                 pts = drawn_points(sys_, prime, [seed, trial], special)
                 assert_rank_matches_scalar_reference(sys_, field, pts)
     five_doubles = PlaneSystem(4, (2,) * 5)
-    assert _conditions_rank(five_doubles, field, drawn_points(five_doubles, prime, 0)) == 14
+    assert binom(6, 2) - _conditions_dim(five_doubles, field, drawn_points(five_doubles, prime, 0)) == 14
 
 
 @st.composite
@@ -250,7 +250,7 @@ def test_conditions_rank_matches_taylor_reference_at_small_primes(sys_, prime, s
     # p <= d is allowed: the Taylor coefficients are exact in every characteristic.
     field = PrimeField(prime)
     pts = drawn_points(sys_, prime, seed, special)
-    rank = _conditions_rank(sys_, field, pts)
+    rank = binom(sys_.degree + 2, 2) - _conditions_dim(sys_, field, pts)
     points = COORDINATE_POINTS + [(x, y, 1) for x, y in pts.tolist()]
     rows = [row for mult, pt in zip(sys_.mults, points) for row in scalar_taylor_rows(sys_.degree, prime, mult, pt)]
     assert rank == (matrix_rank(DenseMatrix(field, rows)) if rows else 0), sys_
@@ -262,6 +262,8 @@ def test_fatpoint_dim_degenerate():
     # A point of multiplicity d+1 kills every curve of degree d.
     assert fatpoint_dim(PlaneSystem(3, (4,))) == 0
     assert fatpoint_dim(PlaneSystem(3, (9,))) == 0
+    # Rest points above d: the heaviest is above d too, and leaves no column.
+    assert fatpoint_dim(PlaneSystem(3, (5,) * 5)) == 0
 
 
 def test_fatpoint_dim_seeds_by_multiplicities(monkeypatch):
@@ -271,9 +273,9 @@ def test_fatpoint_dim_seeds_by_multiplicities(monkeypatch):
 
     def spy(sys, field, pts):
         drawn.append(pts.copy())
-        return _conditions_rank(sys, field, pts)
+        return _conditions_dim(sys, field, pts)
 
-    monkeypatch.setattr(linsys, "_conditions_rank", spy)
+    monkeypatch.setattr(linsys, "_conditions_dim", spy)
     for mults in ((3,) * 7, (4, 3, 3, 3, 3, 3, 2)):
         fatpoint_dim(PlaneSystem(6, mults))
     assert len(drawn) == 2 and drawn[0].shape == drawn[1].shape == (4, 2)
@@ -304,7 +306,7 @@ def test_fatpoint_dim_recovers_from_a_coincident_first_draw(monkeypatch):
     monkeypatch.undo()
     field = PrimeField(DEFAULT_PRIME)
     assert len(blocks) == 2 and np.array_equal(blocks[0][0], blocks[0][1])
-    assert binom(8, 2) - _conditions_rank(sys_, field, blocks[0]) == 10
+    assert _conditions_dim(sys_, field, blocks[0]) == 10
     assert dim == system_dim(sys_)[0] == expected_dim(sys_) == 7
 
 
