@@ -18,10 +18,12 @@ are gathered, updated and written back.  Both paths pick the first
 nonzero entry at or below the current row as the pivot and invert it with
 `pow(x, -1, p)`, so they return the same rows and pivots.  The limit is
 the measured crossover of the two paths (see SMALL_CELLS).  The numpy path
-reduces each update by `reduce_mod`, as `x - x // p * p`, which numpy
-computes about twice as fast as `x % p` (its integer division by a scalar
-uses libdivide, its remainder does not).  Every entry stays in
-(-p^2, p^2), so the two agree.
+reduces by `reduce_mod`, as `x - x // p * p`, which numpy computes about
+twice as fast as `x % p` (its integer division by a scalar uses libdivide,
+its remainder does not).  A block update leaves a reduced block unreduced,
+in [-(p-1)^2, p), and the next one reduces it from [-2(p-1)^2, p); a
+few-rows update reduces the block first.  `is_prime` refuses p >= 2^31, so
+2(p-1)^2 + p < 2^63: int64 holds every entry and `x // p * p`.
 `all_minors_nonzero`, the general-position test of the oracle's samples,
 eliminates nothing: it expands each minor along its first row into the
 minors one size smaller.
@@ -151,22 +153,28 @@ def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     `t` is the block below the finished rows and right of the last pivot:
     each pivot takes one row and one column off it, a zero column only its
     column.  Finished rows go to the top of the working copy `a`, which `t`
-    is a view of until its first out-of-place update.
+    is a view of until its first out-of-place update.  A block update of a
+    reduced `t` leaves it unreduced, in [-(p-1)^2, p), and the next block
+    update reduces it once from [-2(p-1)^2, p), which int64 holds for
+    p < 2^31; a few-rows update reduces `t` first.  Column 0 and the pivot
+    row of an unreduced `t` are read mod p, so the pivots do not change.
     """
     a = t = np.array(arr, dtype=np.int64)
     pivots: list[int] = []
+    reduced = True
     for c in range(a.shape[1]):
         if not t.shape[0]:
             break
-        nz = t[:, 0].nonzero()[0]
+        col = t[:, 0] if reduced else t[:, 0] % p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             t = t[:, 1:]
             continue
         i = int(nz[0])
-        u = t[i] * pow(int(t[i, 0]), -1, p) % p
+        u = (t[i] if reduced else t[i] % p) * pow(int(col[i]), -1, p) % p
         if i:
             # The pivot row leaves the block; row 0 takes its place.
-            t[i] = t[0]
+            t[i], col[i] = t[0], col[0]
         k = len(pivots)
         a[k, :c] = 0
         a[k, c:] = u
@@ -179,12 +187,17 @@ def _echelon_large(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         # every row, gathering, updating and scattering the nonzero rows
         # about 7 over those rows; the two cost the same at 3/4 of them.
         if 4 * rows.size >= 3 * below > 0:
-            d = t[1:, :1] * u[1:]
+            d = col[1:, None] * u[1:]
             t = np.subtract(t[1:, 1:], d, out=d)
-            reduce_mod(t, p)
+            if not reduced:
+                reduce_mod(t, p)
+            reduced = not reduced
         else:
-            f = t[rows, :1]
+            f = col[rows, None]
             t = t[1:, 1:]
+            if not reduced:
+                reduce_mod(t, p)
+                reduced = True
             if rows.size:
                 rows -= 1
                 t[rows] = reduce_mod(t[rows] - f * u[1:], p)

@@ -46,10 +46,15 @@ def monomial_basis(num_vars: int, degree: int) -> np.ndarray:
     return ci_basis((None,) * num_vars, degree)
 
 
-# Unbounded: keyed by shapes, not samples.  `verify --a-max 8` leaves 1,644
-# entries, 1,211 for whole caps tuples and the rest for their suffixes (25
-# full-ring bases among them); a cold pass of the wlp4 benchmark leaves 388.
-@lru_cache(maxsize=None)
+# Bounded: keyed by shapes, not samples, but the fat-point oracle adds one
+# entry per plane system's coordinate caps.  From cold caches `verify --a-max
+# 8` leaves 1,644 entries (1,211 for whole caps tuples, the rest for their
+# suffixes), `verify --k 1 --a-max 8` 1,798, `hilbert --powers 200,200,200`
+# 1,794, the CI's four-variable WLP sweep 3,176 and the six-variable scan of
+# (5,)*7 141; a pass of the benchmark leaves 584 (sweep3), 388 (wlp4) and
+# 785 (planes).  The bound evicts none of these and stops a long run over
+# many systems from growing unchecked.
+@lru_cache(maxsize=4096)
 def ci_basis(caps: tuple[int | None, ...], degree: int) -> np.ndarray:
     """Exponents of the degree-`degree` monomials outside (x_m^caps[m]), read-only.
 

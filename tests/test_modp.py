@@ -1,3 +1,5 @@
+import inspect
+import sys
 import time
 from itertools import combinations
 
@@ -200,6 +202,7 @@ def build_matrix(p, rows, cols, rank, density, dense_cols, seed):
 @settings(max_examples=300, deadline=None)
 @given(matrix_params())
 @example((DEFAULT_PRIME, 124, 165, 124, 1.0, 0, 7))
+@example((SECOND_PRIME, 124, 165, 124, 1.0, 0, 11))
 @example((2, 130, 170, 100, 0.2, 4, 8))
 # Sparse at first, so the trailing block takes the few-rows update before
 # fill-in makes it dense; the second stays mostly on the few-rows update.
@@ -227,24 +230,41 @@ def test_small_and_large_paths_agree(params):
     assert matrix_rank(m) == len(pivots)
 
 
-def update_kinds(monkeypatch, arr, p):
-    """`_echelon_large(arr, p)`, and which update each of its `reduce_mod` calls made.
+def update_kinds(arr, p):
+    """`_echelon_large(arr, p)`, and which update it made at each pivot that made one.
 
-    A call at the pivot in column c updates a block `n - c - 1` wide; it is
-    the out-of-place update when it covers every row below that pivot.
+    A line tracer on `_echelon_large` records each run of the block update's
+    line (its one `np.subtract`) and of the few-rows update's line (the
+    write-back of the gathered rows).  Reductions, deferred or not, are not
+    updates and do not count.
     """
-    calls = []
-    real = reduce_mod
-    monkeypatch.setattr(modp, "reduce_mod", lambda x, q: (calls.append(x.shape), real(x, q))[1])
-    rows, pivots = _echelon_large(arr, p)
-    monkeypatch.undo()
-    m, n = arr.shape
-    kinds = ["block" if k == m - pivots.index(n - 1 - w) - 1 else "rows" for k, w in calls]
+    lines, first = inspect.getsourcelines(_echelon_large)
+    marks = {"block": "np.subtract(", "rows": "t[rows] ="}
+    kind_at = {
+        first + n: kind for n, line in enumerate(lines) for kind, mark in marks.items() if mark in line
+    }
+    assert sorted(kind_at.values()) == sorted(marks)
+    kinds = []
+
+    def trace_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in kind_at:
+            kinds.append(kind_at[frame.f_lineno])
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is _echelon_large.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        rows, pivots = _echelon_large(arr, p)
+    finally:
+        sys.settrace(previous)
     return rows, pivots, kinds
 
 
 @pytest.mark.parametrize("p", (2, 101, DEFAULT_PRIME))
-def test_large_path_takes_both_updates_on_one_matrix(monkeypatch, p):
+def test_large_path_takes_both_updates_on_one_matrix(p):
     # Ten dense rows over two sparse ones, 12x16.  The dense rows span
     # b0, b1, b2 (unit entries at columns 0, 1, 2, zero at 3), with row i a
     # nonzero multiple of b0 + b1 + b2 from row 2 on: the first three pivots
@@ -260,7 +280,7 @@ def test_large_path_takes_both_updates_on_one_matrix(monkeypatch, p):
     sparse[:, :4] = 0
     sparse[:, 4] = 1
     arr = np.vstack(dense + [sparse]) % p
-    rows, pivots, kinds = update_kinds(monkeypatch, arr, p)
+    rows, pivots, kinds = update_kinds(arr, p)
     small_rows, small_pivots = _echelon_small(arr, p)
     assert pivots == small_pivots and pivots[:4] == [0, 1, 2, 4]
     assert np.array_equal(rows, small_rows)
@@ -301,15 +321,38 @@ def test_normal_forms_match_gauss_jordan(params):
     assert not normal[:, list(pivots)].any()
 
 
-@pytest.mark.parametrize("p", (2, 3, DEFAULT_PRIME))
+@pytest.mark.parametrize("p", (2, 3, SECOND_PRIME, DEFAULT_PRIME))
 def test_reduce_mod_on_the_extremes_of_a_row_update(p):
     # A row update x - f * y with x, f, y in [0, p) lies in [-(p-1)^2, p), and
     # a product of two reduced entries in [0, (p-1)^2]; p^2 - 1 bounds both.
+    # A second block update before the reduction reaches [-2(p-1)^2, p).
     low, high = -((p - 1) ** 2), (p - 1) ** 2
-    values = [low, low + 1, -p, -1, 0, 1, p - 1, p, high, high + p - 1, p * p - 1]
+    values = [2 * low, 2 * low + 1, low - p, low, low + 1, -p, -1, 0, 1, p - 1, p, high, high + p - 1, p * p - 1]
     x = np.array(values, dtype=np.int64)
     assert reduce_mod(x, p) is x
     assert x.tolist() == [v % p for v in values]
+
+
+@pytest.mark.parametrize("p", (SECOND_PRIME, DEFAULT_PRIME))
+def test_two_block_updates_reach_the_deferred_extreme(monkeypatch, p):
+    # Rows (1, 0, p-1, ..., p-1), (p-1, 1, 0, ..., 0) and six of
+    # (p-1, p-1, 0, ..., 0).  The first pivot's multipliers and pivot row
+    # are p-1 over zero entries, which it leaves at -(p-1)^2, unreduced.
+    # The second pivot row, (1, -(p-1)^2, ...), is (1, p-1, ...) mod p, and
+    # its multipliers are p-1 again: the second block update takes those
+    # zero entries to -2(p-1)^2 before the one reduction of both.
+    arr = np.zeros((8, 10), dtype=np.int64)
+    arr[0, 0] = arr[1, 1] = 1
+    arr[0, 2:] = arr[1:, 0] = arr[2:, 1] = p - 1
+    lows = []
+    real = reduce_mod
+    monkeypatch.setattr(modp, "reduce_mod", lambda x, q: (lows.append(int(x.min(initial=0))), real(x, q))[1])
+    rows, pivots = _echelon_large(arr, p)
+    monkeypatch.undo()
+    assert min(lows) == -2 * (p - 1) ** 2
+    small_rows, small_pivots = _echelon_small(arr, p)
+    assert pivots == small_pivots == [0, 1, 2]
+    assert np.array_equal(rows, small_rows)
 
 
 def test_all_minors_nonzero_checks_every_size():

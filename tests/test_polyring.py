@@ -230,6 +230,17 @@ def test_ci_basis_is_the_monomials_outside_the_caps(caps, degree):
     assert got.tolist() == expected
 
 
+def test_ci_basis_cache_is_bounded():
+    # The fat-point oracle asks for one caps tuple per plane system, so a
+    # long run over many systems would grow an unbounded cache forever.
+    ci_basis.cache_clear()
+    for cap in range(1, 5001):
+        ci_basis((cap, None, None), 0)
+    info = ci_basis.cache_info()
+    assert info.currsize == info.maxsize == 4096
+    ci_basis.cache_clear()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_ci_block_is_the_full_ring_block_on_the_kept_monomials(data):
